@@ -18,7 +18,6 @@ from .logistic import (
     lipschitz_constant,
     loss_gradient,
     loss_value,
-    probabilities,
     sigmoid,
     softplus,
 )

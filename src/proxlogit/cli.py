@@ -520,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _build_config(args)
         return _COMMANDS[args.command](cfg)
-    except (CliError, DataError, OSError, ValueError, RuntimeError) as exc:
+    except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -79,12 +79,16 @@ class PathPoint:
 def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
     """Solve at lambda = fraction * lambda_max for every fraction, largest first.
 
-    With ``warm_start`` each point starts from the previous solution.  Solver
-    failures are re-raised with the offending fraction named.
+    With ``warm_start`` each point starts from the previous solution.  The
+    Lipschitz constant is estimated at most once per path: each point hands
+    ``FitResult.lipschitz`` to the next fit, which leaves every result
+    bitwise unchanged.  Solver failures are re-raised with the offending
+    fraction named.
     """
     lam_top = lambda_max(data)
     points: list[PathPoint] = []
     beta_prev: np.ndarray | None = None
+    lip: float | None = None
     for frac in sorted(spec.fractions, reverse=True):
         lam = frac * lam_top
         pen = dataclasses.replace(spec.pen_template, lam=lam)
@@ -92,10 +96,10 @@ def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
         if spec.warm_start and beta_prev is not None:
             opts = dataclasses.replace(spec.opts, beta0=beta_prev)
         try:
-            result = fit(data, pen, opts)
+            result = fit(data, pen, opts, lipschitz=lip)
         except Exception as exc:
             raise RuntimeError(f"path point at fraction {frac:g} failed: {exc}") from exc
-        beta_prev = result.beta
+        beta_prev, lip = result.beta, result.lipschitz
         points.append(PathPoint(fraction=frac, lam=lam, result=result))
     return points
 
@@ -154,8 +158,9 @@ def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvRe
     """k-fold cross-validation of the whole path.
 
     For each fold the path (including lambda_max) is computed on the training
-    complement and accuracy is scored on the held-out fold.  Folds whose
-    training labels are single-class are recorded as skipped cells.
+    complement and accuracy is scored on the held-out fold, so each fold
+    makes its own exact Lipschitz estimate, once for its whole path.  Folds
+    whose training labels are single-class are recorded as skipped cells.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")

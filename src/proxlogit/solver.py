@@ -163,10 +163,19 @@ class Trace:
 
 @dataclasses.dataclass
 class FitResult:
+    """Outcome of one fit.
+
+    ``lipschitz`` is the loss-gradient Lipschitz constant the fit computed or
+    was given, or ``None`` when it neither needed nor received one; pass it
+    as ``fit(..., lipschitz=)`` to a later fit on the same features to skip
+    the estimate.
+    """
+
     beta: np.ndarray
     converged: bool
     trace: Trace
     final_objective: float
+    lipschitz: float | None = None
 
     @property
     def n_iterations(self) -> int:
@@ -355,19 +364,30 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
     return beta0
 
 
-def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitResult:
+def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
+        lipschitz: float | None = None) -> FitResult:
     """Run the selected solver variant and return the fitted coefficients.
 
     The l1 penalty uses the quadratic-upper-model line-search criterion, the
     nonconvex penalties the sufficient-decrease criterion.  Stops when the
     relative objective change falls to ``opts.tol`` (converged) or at
     ``opts.max_iters`` (not converged); the trace records every iteration.
+
+    The Lipschitz constant of the loss gradient is estimated by power
+    iteration the first time the variant needs it, and at most once per fit.
+    ``lipschitz`` supplies it instead.  Given the value
+    ``lipschitz_constant(data)`` returns, or ``FitResult.lipschitz`` of an
+    earlier fit on the same features, the fit is bitwise equal to one that
+    estimates it.  ``run_path`` does this, so a whole path makes at most one
+    estimate.
     """
     opts = opts if opts is not None else SolverOptions()
     if opts.variant in ("fista_lip", "fista_vanilla") and pen.kind != L1:
         raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
+    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
 
-    lip_cache: dict[str, float] = {}
+    lip_cache: dict[str, float] = {} if lipschitz is None else {"L": lipschitz}
 
     def lip() -> float:
         if "L" not in lip_cache:
@@ -375,8 +395,10 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
         return lip_cache["L"]
 
     L0 = lip() if opts.l0 is None else float(opts.l0)
-    if not L0 > 0:
-        raise ValueError("initial step scale is not positive (zero feature matrix?)")
+    if L0 == 0.0:
+        raise ValueError("initial step scale is zero (zero feature matrix)")
+    if not math.isfinite(L0):
+        raise ValueError(f"initial step scale must be finite, got {L0}")
 
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
@@ -436,4 +458,5 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
         if converged:
             break
 
-    return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev)
+    return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
+                     lipschitz=lip_cache.get("L"))

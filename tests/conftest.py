@@ -21,3 +21,19 @@ def make_dataset(seed: int, d: int, n: int) -> Dataset:
 @pytest.fixture
 def small_data() -> Dataset:
     return make_dataset(seed=11, d=12, n=40)
+
+
+@pytest.fixture
+def lipschitz_calls(monkeypatch) -> list:
+    """Record the dataset of every Lipschitz estimate that ``fit`` makes."""
+    from proxlogit import solver
+
+    calls = []
+    real = solver.lipschitz_constant
+
+    def counting(data, *args, **kwargs):
+        calls.append(data)
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "lipschitz_constant", counting)
+    return calls

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from proxlogit import cli
 from proxlogit.cli import EXIT_ERROR, EXIT_MAXITERS, EXIT_OK, TRACE_HEADER, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -66,6 +67,26 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_ERROR
         assert "/nonexistent/file.csv" in capsys.readouterr().err
+
+    def test_floating_point_error_exits_1(self, tmp_path, capsys, monkeypatch):
+        def diverging_fit(*args, **kwargs):
+            raise FloatingPointError("non-finite objective nan at iteration 3")
+
+        monkeypatch.setattr(cli, "fit", diverging_fit)
+        code = main(["train", *SYNTH, "--out", str(tmp_path / "run")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.strip() == "error: non-finite objective nan at iteration 3"
+
+    def test_huge_features_exit_1_naming_scale(self, tmp_path, capsys):
+        data_file = tmp_path / "huge.csv"
+        data_file.write_text("1e200,-2e200,1\n-3e200,1e200,0\n2e200,2e200,1\n")
+        code = main(["train", "--format", "csv", "--data", str(data_file),
+                     "--label-column", "2", "--out", str(tmp_path / "run")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err and "feature scale" in err
 
     def test_coefficients_payload(self, tmp_path):
         out = str(tmp_path / "run")

@@ -144,6 +144,24 @@ class TestLipschitzConstant:
         top = np.linalg.eigvalsh(X @ X.T)[-1]
         assert hist[-1] <= top * (1 + 1e-8)
 
+    def test_huge_and_tiny_features_scale_exactly(self, small_data):
+        X, y = small_data.features, small_data.labels
+        L = lipschitz_constant(small_data)
+        assert lipschitz_constant(Dataset(1e150 * X, y)) == pytest.approx(1e300 * L, rel=1e-12)
+        assert lipschitz_constant(Dataset(1e-150 * X, y)) == pytest.approx(1e-300 * L, rel=1e-12)
+        # a power-of-two rescaling of the features is exact
+        assert lipschitz_constant(Dataset(2.0 ** 300 * X, y)) == 2.0 ** 600 * L
+
+    @pytest.mark.parametrize("features", [
+        np.full((3, 4), 1e154),       # entries square finitely, the eigenvalue overflows
+        np.full((3, 4), 1e200),
+        np.full((3, 4), 1e-200),      # the eigenvalue underflows
+    ])
+    def test_unrepresentable_constant_names_feature_scale(self, features):
+        data = Dataset(features, np.array([1.0, 0.0, 1.0, 0.0]))
+        with pytest.raises(ValueError, match="feature scale"):
+            lipschitz_constant(data)
+
     def test_parameter_validation(self, small_data):
         with pytest.raises(ValueError):
             lipschitz_constant(small_data, tol=0.0)

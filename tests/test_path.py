@@ -88,6 +88,31 @@ class TestRunPath:
         points = {p.fraction: p for p in run_path(data, spec)}
         assert points[0.8].result.nnz <= points[0.01].result.nnz
 
+    @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse", "fista_lip"])
+    def test_one_lipschitz_estimate_per_path(self, small_data, lipschitz_calls, variant):
+        spec = PathSpec(pen_template=Penalty.l1(1.0), opts=SolverOptions(variant=variant))
+        points = run_path(small_data, spec)
+        assert len(points) == len(DEFAULT_FRACTIONS)
+        assert len(lipschitz_calls) == 1
+
+    def test_fixed_l0_path_never_estimates(self, small_data, lipschitz_calls):
+        opts = SolverOptions(variant="ista_vanilla", l0=1.0)
+        points = run_path(small_data, PathSpec(pen_template=Penalty.mcp(1.0, 3.0), opts=opts))
+        assert lipschitz_calls == []
+        assert all(p.result.lipschitz is None for p in points)
+
+    def test_shared_estimate_is_bitwise_equal_to_per_fit_estimates(self, small_data):
+        spec = PathSpec(pen_template=Penalty.scad(1.0, 3.7),
+                        opts=SolverOptions(variant="ista_reverse"))
+        beta_prev = None
+        for point in run_path(small_data, spec):
+            opts = spec.opts if beta_prev is None else \
+                dataclasses.replace(spec.opts, beta0=beta_prev)
+            alone = fit(small_data, dataclasses.replace(spec.pen_template, lam=point.lam), opts)
+            np.testing.assert_array_equal(point.result.beta, alone.beta)
+            assert point.result.trace.objectives == alone.trace.objectives
+            beta_prev = alone.beta
+
     def test_solver_error_names_fraction(self, small_data):
         bad = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001, max_backtracks=1)
         spec = PathSpec(pen_template=Penalty.l1(1.0), opts=bad, fractions=(0.1,))
@@ -195,6 +220,12 @@ class TestCrossValidate:
         accs = [c.accuracy for c in report.cells if c.accuracy is not None]
         assert len(accs) == 5
         assert max(accs) - min(accs) <= 0.15
+
+    def test_one_lipschitz_estimate_per_fold(self, lipschitz_calls):
+        data = make_dataset(seed=141, d=8, n=60)
+        cross_validate(data, self.spec(fractions=(0.1, 0.3, 0.5)), k=3, seed=4)
+        assert len(lipschitz_calls) == 3
+        assert [d.n_samples for d in lipschitz_calls] == [40, 40, 40]
 
     def test_k_below_two_rejected(self, small_data):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from proxlogit import (
     LineSearchError,
     Penalty,
     SolverOptions,
+    VARIANTS,
     bb_stepsize,
     fit,
     lambda_max,
@@ -389,6 +392,59 @@ class TestFit:
         opts = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001, max_backtracks=1)
         with pytest.raises(LineSearchError):
             fit(small_data, Penalty.l1(lam), opts)
+
+
+class TestFitLipschitz:
+    @pytest.mark.parametrize("variant, kind", [(v, "l1") for v in VARIANTS] + [
+        (v, "mcp") for v in VARIANTS if not v.startswith("fista")])
+    def test_given_constant_is_bitwise_equal(self, small_data, variant, kind):
+        lam = 0.1 * lambda_max(small_data)
+        pen = Penalty.l1(lam) if kind == "l1" else Penalty.mcp(lam, 3.0)
+        opts = SolverOptions(variant=variant, max_iters=300)
+        plain = fit(small_data, pen, opts)
+        L = lipschitz_constant(small_data)
+        given = fit(small_data, pen, opts, lipschitz=L)
+        np.testing.assert_array_equal(given.beta, plain.beta)
+        assert given.final_objective == plain.final_objective
+        assert given.trace.objectives == plain.trace.objectives
+        assert given.trace.step_scales == plain.trace.step_scales
+        assert plain.lipschitz == given.lipschitz == L
+
+    def test_estimates_once_and_reports_it(self, small_data, lipschitz_calls):
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb"))
+        assert len(lipschitz_calls) == 1
+        assert res.lipschitz == lipschitz_constant(small_data)
+
+    def test_given_constant_skips_estimate(self, small_data, lipschitz_calls):
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"),
+                  lipschitz=3.0)
+        assert lipschitz_calls == []
+        assert res.lipschitz == 3.0
+
+    def test_fixed_l0_never_estimates(self, small_data, lipschitz_calls):
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_vanilla", l0=1.0))
+        assert lipschitz_calls == []
+        assert res.lipschitz is None
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_constant(self, small_data, bad):
+        with pytest.raises(ValueError, match="lipschitz"):
+            fit(small_data, Penalty.l1(0.5), lipschitz=bad)
+
+    def test_rejects_infinite_l0(self, small_data):
+        with pytest.raises(ValueError, match="finite"):
+            fit(small_data, Penalty.l1(0.5), SolverOptions(l0=math.inf))
+
+    def test_zero_features_diagnosed(self):
+        data = Dataset(np.zeros((3, 4)), np.array([1.0, 0.0, 1.0, 0.0]))
+        with pytest.warns(UserWarning), pytest.raises(ValueError, match="zero feature matrix"):
+            fit(data, Penalty.l1(0.5))
+
+    def test_huge_features_not_diagnosed_as_zero(self, small_data):
+        data = Dataset(1e200 * small_data.features, small_data.labels)
+        with pytest.raises(ValueError, match="feature scale") as info:
+            fit(data, Penalty.l1(0.5))
+        assert "zero" not in str(info.value)
 
 
 class TestSolverOptionsValidation:
