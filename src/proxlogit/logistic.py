@@ -1,6 +1,16 @@
 """Numerically stable logistic loss, gradient, and Lipschitz constant.
 
-All functions are pure given immutable inputs and safe for concurrent use.
+The loss and its gradient are built from three margin-level kernels, so a
+solver that already holds the margins z = X' beta of a point pays for no
+second product:
+
+* ``margins(beta, data)``            - z = X' beta, one matrix-vector product;
+* ``loss_from_margins(z, data)``     - the loss at z, no product;
+* ``gradient_from_margins(z, data)`` - X (sigmoid(z) - y), one product.
+
+``loss_value`` and ``loss_gradient`` compose them and are bitwise equal to
+composing them by hand.  All functions are pure given immutable inputs and
+safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -15,9 +25,12 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 __all__ = [
+    "gradient_from_margins",
     "lipschitz_constant",
+    "loss_from_margins",
     "loss_gradient",
     "loss_value",
+    "margins",
     "sigmoid",
     "softplus",
 ]
@@ -36,7 +49,8 @@ def softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _margins(beta, data: Dataset) -> np.ndarray:
+def margins(beta, data: Dataset) -> np.ndarray:
+    """Margins z_i = x_i' beta of every sample: one product X' beta."""
     beta = np.asarray(beta, dtype=np.float64)
     if beta.shape != (data.n_features,):
         raise ValueError(
@@ -44,16 +58,24 @@ def _margins(beta, data: Dataset) -> np.ndarray:
     return beta @ data.features
 
 
+def loss_from_margins(z, data: Dataset) -> float:
+    """Negative log-likelihood sum_i [softplus(z_i) - y_i z_i] at margins z; always >= 0."""
+    return float(np.sum(softplus(z) - data.labels * z))
+
+
+def gradient_from_margins(z, data: Dataset) -> np.ndarray:
+    """Gradient X (sigmoid(z) - y) of the negative log-likelihood at margins z."""
+    return data.features @ (sigmoid(z) - data.labels)
+
+
 def loss_value(beta, data: Dataset) -> float:
     """Negative log-likelihood sum_i [softplus(x_i' beta) - y_i x_i' beta]; always >= 0."""
-    z = _margins(beta, data)
-    return float(np.sum(softplus(z) - data.labels * z))
+    return loss_from_margins(margins(beta, data), data)
 
 
 def loss_gradient(beta, data: Dataset) -> np.ndarray:
     """Gradient X (p - y) of the negative log-likelihood."""
-    z = _margins(beta, data)
-    return data.features @ (sigmoid(z) - data.labels)
+    return gradient_from_margins(margins(beta, data), data)
 
 
 def _unrepresentable(peak: float) -> ValueError:

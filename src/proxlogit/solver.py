@@ -21,6 +21,17 @@ anchor; for the nonconvex penalties the sufficient-decrease test
 f(candidate) <= f(anchor) - (L/2) ||candidate - anchor||^2 is used, which
 directly enforces monotone descent.
 
+The margins z = X' beta are carried with the iterate.  Each line-search trial
+computes its candidate's margins with one product, and the accepted
+candidate's margins give the next gradient X (sigmoid(z) - y) for one more
+product.  FISTA's extrapolated point w = c + m (c - c_prev) gets its margins
+by linearity, z_w = z_c + m (z_c - z_prev), at no product.  A fit therefore
+makes one product for the starting point plus, per iteration, one for the
+gradient and one per evaluated candidate; ``FitResult.matvecs`` reports the
+total, leaving out the power iteration behind the Lipschitz estimate.  The
+fit clock starts on entry to ``fit``, so ``Trace.times`` includes the
+Lipschitz estimate and the other set-up.
+
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
 matrix-vector products inherit whatever BLAS threading is configured, which
@@ -36,7 +47,8 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .logistic import lipschitz_constant, loss_gradient, loss_value
+from .logistic import (gradient_from_margins, lipschitz_constant, loss_from_margins,
+                       loss_gradient, loss_value, margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 if TYPE_CHECKING:
@@ -128,8 +140,9 @@ class Trace:
 
     Each completed iteration k appends the objective f(beta_k), the accepted
     step scale L_k, the number of extra line-search trials beyond the first,
-    the nonzero count, the cumulative wall time (monotonic clock; excluded
-    from reproducibility guarantees), and the squared step length
+    the nonzero count, the cumulative wall time since ``fit`` was entered,
+    set-up included (monotonic clock; excluded from reproducibility
+    guarantees), and the squared step length
     ||beta_k - beta_{k-1}||^2 used by stationarity checks.
     """
 
@@ -168,13 +181,17 @@ class FitResult:
     ``lipschitz`` is the loss-gradient Lipschitz constant the fit computed or
     was given, or ``None`` when it neither needed nor received one; pass it
     as ``fit(..., lipschitz=)`` to a later fit on the same features to skip
-    the estimate.
+    the estimate.  ``matvecs`` is the number of products with the feature
+    matrix (X' b or X r) the fit made, power iteration excluded: 1 for the
+    starting point plus, per iteration, 1 for the gradient and 1 per
+    evaluated candidate.
     """
 
     beta: np.ndarray
     converged: bool
     trace: Trace
     final_objective: float
+    matvecs: int
     lipschitz: float | None = None
 
     @property
@@ -243,16 +260,25 @@ def bb_stepsize(delta, v, fallback: float) -> float:
 class _SearchOutcome(NamedTuple):
     L: float
     candidate: np.ndarray
+    margins: np.ndarray  # X' candidate, which the next gradient reuses
     trials: int          # criterion evaluations beyond the first
+    evaluations: int     # candidates evaluated, one product X' candidate each
     loss: float
     objective: float
     step_sq: float
 
 
 def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                   sufficient_decrease: bool):
+                   sufficient_decrease: bool) -> tuple[bool, _SearchOutcome]:
+    """Evaluate the proximal candidate at scale L with one product X' candidate.
+
+    ``f_anchor`` is read only by the sufficient-decrease criterion.  The
+    outcome counts as the first trial; searches set ``trials`` and
+    ``evaluations``.
+    """
     cand = prox_vector(anchor - grad_anchor / L, pen, L)
-    l_cand = loss_value(cand, data)
+    z_cand = margins(cand, data)
+    l_cand = loss_from_margins(z_cand, data)
     pen_cand = penalty_value(cand, pen)
     f_cand = l_cand + pen_cand
     diff = cand - anchor
@@ -262,17 +288,17 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
     else:
         model = l_anchor + float(diff @ grad_anchor) + 0.5 * L * step_sq + pen_cand
         ok = f_cand <= model
-    return ok, cand, l_cand, f_cand, step_sq
+    return ok, _SearchOutcome(L, cand, z_cand, 0, 1, l_cand, f_cand, step_sq)
 
 
 def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L_start, eta, max_backtracks, sufficient_decrease) -> _SearchOutcome:
     L = float(L_start)
     for i in range(max_backtracks + 1):
-        ok, cand, l_cand, f_cand, step_sq = _try_candidate(
-            anchor, l_anchor, f_anchor, grad_anchor, data, pen, L, sufficient_decrease)
+        ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
+                                 sufficient_decrease)
         if ok:
-            return _SearchOutcome(L, cand, i, l_cand, f_cand, step_sq)
+            return out._replace(trials=i, evaluations=i + 1)
         L *= eta
     raise LineSearchError(
         f"line search failed after {max_backtracks} backtracks (last L = {L / eta:g})",
@@ -284,31 +310,34 @@ def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     sufficient_decrease) -> _SearchOutcome:
     accepted: _SearchOutcome | None = None
     for i in range(max_expansions):
-        L = L0 / eta ** i
-        ok, cand, l_cand, f_cand, step_sq = _try_candidate(
-            anchor, l_anchor, f_anchor, grad_anchor, data, pen, L, sufficient_decrease)
+        ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
+                                 L0 / eta ** i, sufficient_decrease)
         if ok:
-            accepted = _SearchOutcome(L, cand, i, l_cand, f_cand, step_sq)
+            accepted = out._replace(trials=i)
             continue
         if accepted is None:
             # The base step already violates (possible under sufficient
             # decrease); grow forward from L0 instead.
             out = _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
                                   pen, L0, eta, max_backtracks, sufficient_decrease)
-            return out._replace(trials=out.trials + 1)
+            return out._replace(trials=out.trials + 1, evaluations=out.evaluations + 1)
         break
-    return accepted
+    return accepted._replace(evaluations=i + 1)
+
+
+def _anchor_state(anchor, data: Dataset, pen: Penalty):
+    """(anchor, loss, objective, gradient) at ``anchor`` from one margin product."""
+    anchor = np.asarray(anchor, dtype=np.float64)
+    z = margins(anchor, data)
+    l_anchor = loss_from_margins(z, data)
+    return anchor, l_anchor, l_anchor + penalty_value(anchor, pen), gradient_from_margins(z, data)
 
 
 def linesearch_convex(anchor, data: Dataset, pen: Penalty, L_start: float,
                       eta: float, max_backtracks: int) -> LineSearchResult:
     """Smallest L = eta^i * L_start whose proximal candidate is below its
     quadratic upper model; returns that L and the candidate."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    l_anchor = loss_value(anchor, data)
-    f_anchor = l_anchor + penalty_value(anchor, pen)
-    grad = loss_gradient(anchor, data)
-    out = _forward_search(anchor, l_anchor, f_anchor, grad, data, pen,
+    out = _forward_search(*_anchor_state(anchor, data, pen), data, pen,
                           L_start, eta, max_backtracks, sufficient_decrease=False)
     return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
 
@@ -317,11 +346,7 @@ def linesearch_sufficient_decrease(anchor, data: Dataset, pen: Penalty, L_start:
                                    eta: float, max_backtracks: int) -> LineSearchResult:
     """Smallest L = eta^i * L_start whose proximal candidate drops the
     objective by at least (L/2) ||candidate - anchor||^2."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    l_anchor = loss_value(anchor, data)
-    f_anchor = l_anchor + penalty_value(anchor, pen)
-    grad = loss_gradient(anchor, data)
-    out = _forward_search(anchor, l_anchor, f_anchor, grad, data, pen,
+    out = _forward_search(*_anchor_state(anchor, data, pen), data, pen,
                           L_start, eta, max_backtracks, sufficient_decrease=True)
     return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
 
@@ -338,11 +363,7 @@ def reverse_search(anchor, data: Dataset, pen: Penalty, L0: float, eta: float,
     """
     if criterion not in ("convex", "sufficient_decrease"):
         raise ValueError(f"unknown criterion {criterion!r}")
-    anchor = np.asarray(anchor, dtype=np.float64)
-    l_anchor = loss_value(anchor, data)
-    f_anchor = l_anchor + penalty_value(anchor, pen)
-    grad = loss_gradient(anchor, data)
-    out = _reverse_search(anchor, l_anchor, f_anchor, grad, data, pen, L0, eta,
+    out = _reverse_search(*_anchor_state(anchor, data, pen), data, pen, L0, eta,
                           max_expansions, max_backtracks,
                           sufficient_decrease=(criterion == "sufficient_decrease"))
     return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
@@ -350,6 +371,15 @@ def reverse_search(anchor, data: Dataset, pen: Penalty, L0: float, eta: float,
 
 def _fista_t_next(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+
+
+def _extrapolate(cand, z_cand, prev, z_prev, m: float):
+    """FISTA point w = cand + m (cand - prev) and its margins X' w.
+
+    The margins follow by linearity from those of ``cand`` and ``prev``,
+    so they cost no product; they differ from a fresh X' w by rounding only.
+    """
+    return cand + m * (cand - prev), z_cand + m * (z_cand - z_prev)
 
 
 def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
@@ -381,6 +411,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     estimates it.  ``run_path`` does this, so a whole path makes at most one
     estimate.
     """
+    start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
     if opts.variant in ("fista_lip", "fista_vanilla") and pen.kind != L1:
         raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
@@ -402,7 +433,9 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
 
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
-    l_prev = loss_value(beta, data)
+    z_beta = margins(beta, data)  # carried with beta; the one product outside the loop
+    matvecs = 1
+    l_prev = loss_from_margins(z_beta, data)
     f_prev = l_prev + penalty_value(beta, pen)
     trace = Trace(f0=f_prev)
     converged = False
@@ -410,27 +443,27 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     # Variant state.
     bb_prev: tuple[np.ndarray, np.ndarray] | None = None  # previous (anchor, gradient)
     L_carry = L0
-    w = beta.copy()
+    w, z_w = beta, z_beta
     t_momentum = 1.0
     is_fista = opts.variant in ("fista_lip", "fista_vanilla")
 
-    start = time.perf_counter()
     for k in range(1, opts.max_iters + 1):
         if is_fista:
-            l_w = loss_value(w, data)
-            f_w = l_w + penalty_value(w, pen)
-            grad_w = loss_gradient(w, data)
-            out = _forward_search(w, l_w, f_w, grad_w, data, pen, L_carry,
-                                  opts.eta, opts.max_backtracks, sufficient_decrease=False)
+            grad_w = gradient_from_margins(z_w, data)
+            # The convex criterion never reads f_anchor, so w's penalty is skipped.
+            out = _forward_search(w, loss_from_margins(z_w, data), None, grad_w, data, pen,
+                                  L_carry, opts.eta, opts.max_backtracks,
+                                  sufficient_decrease=False)
             L_carry = out.L
             diff = out.candidate - beta
             step_sq = float(diff @ diff)
             t_next = _fista_t_next(t_momentum)
-            w = out.candidate + ((t_momentum - 1.0) / t_next) * diff
+            w, z_w = _extrapolate(out.candidate, out.margins, beta, z_beta,
+                                  (t_momentum - 1.0) / t_next)
             t_momentum = t_next
             out = out._replace(step_sq=step_sq)
         else:
-            grad = loss_gradient(beta, data)
+            grad = gradient_from_margins(z_beta, data)
             if opts.variant == "ista_bb":
                 if bb_prev is None:
                     seed = L0
@@ -449,7 +482,8 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
                                       opts.eta, opts.max_backtracks, sufficient)
                 L_carry = out.L
 
-        beta = out.candidate
+        matvecs += 1 + out.evaluations
+        beta, z_beta = out.candidate, out.margins
         trace.append(k, out.objective, out.L, out.trials, nonzero_count(beta),
                      time.perf_counter() - start, out.step_sq)
         if abs(f_prev - out.objective) <= opts.tol * max(1.0, abs(out.objective)):
@@ -459,4 +493,4 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
             break
 
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
-                     lipschitz=lip_cache.get("L"))
+                     lipschitz=lip_cache.get("L"), matvecs=matvecs)

@@ -56,6 +56,7 @@ class TestTrain:
         assert trace.split("\n")[0] == TRACE_HEADER
         summary = json.loads(read(os.path.join(out, "summary.json")))
         assert summary["converged"] is True
+        assert summary["matvecs"] >= 1 + 2 * summary["iterations"]
 
     def test_zero_iterations_exits_2(self, tmp_path):
         out = str(tmp_path / "run")

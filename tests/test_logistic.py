@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
-from proxlogit.logistic import _power_iteration
+from proxlogit.logistic import (
+    _power_iteration,
+    gradient_from_margins,
+    loss_from_margins,
+    margins,
+)
 
 from conftest import make_dataset
 
@@ -102,6 +107,20 @@ class TestLossGradient:
     def test_dimension_mismatch(self, small_data):
         with pytest.raises(ValueError):
             loss_gradient(np.zeros(1), small_data)
+
+
+class TestMarginKernels:
+    def test_compositions_are_bitwise_equal(self, small_data):
+        beta = np.random.default_rng(33).normal(size=small_data.n_features)
+        z = margins(beta, small_data)
+        np.testing.assert_array_equal(z, beta @ small_data.features)
+        assert loss_from_margins(z, small_data) == loss_value(beta, small_data)
+        np.testing.assert_array_equal(gradient_from_margins(z, small_data),
+                                      loss_gradient(beta, small_data))
+
+    def test_margins_dimension_mismatch(self, small_data):
+        with pytest.raises(ValueError, match="shape"):
+            margins(np.zeros(small_data.n_features + 1), small_data)
 
 
 class TestLipschitzConstant:

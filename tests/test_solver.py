@@ -1,9 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
 
 from proxlogit import (
+    KINDS,
     Dataset,
     LineSearchError,
     Penalty,
@@ -24,6 +26,8 @@ from proxlogit import (
     q_upper,
     reverse_search,
 )
+from proxlogit import solver
+from proxlogit.logistic import margins
 from proxlogit.solver import _fista_t_next
 
 from conftest import make_dataset
@@ -445,6 +449,95 @@ class TestFitLipschitz:
         with pytest.raises(ValueError, match="feature scale") as info:
             fit(data, Penalty.l1(0.5))
         assert "zero" not in str(info.value)
+
+
+def penalty_of(kind: str, lam: float) -> Penalty:
+    return {"l1": Penalty.l1(lam), "scad": Penalty.scad(lam, 3.7),
+            "mcp": Penalty.mcp(lam, 3.0), "capped_l1": Penalty.capped_l1(lam)}[kind]
+
+
+# Every variant/penalty pair ``fit`` accepts: the FISTA variants take l1 only.
+ACCEPTED_PAIRS = [(v, k) for v in VARIANTS for k in KINDS
+                  if k == "l1" or not v.startswith("fista")]
+
+
+class TestMatvecs:
+    @pytest.mark.parametrize("variant, kind", [
+        (v, k) for v in ("ista_bb", "ista_vanilla", "fista_lip", "fista_vanilla")
+        for k in ("l1", "mcp") if k == "l1" or not v.startswith("fista")])
+    def test_forward_variants_count(self, small_data, variant, kind):
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        # A step scale far below the Lipschitz constant forces backtracking.
+        res = fit(small_data, pen, SolverOptions(variant=variant, l0=0.01, max_iters=300))
+        assert sum(res.trace.backtracks) > 0
+        assert res.matvecs == 1 + sum(2 + b for b in res.trace.backtracks)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_reverse_count(self, small_data, kind, monkeypatch):
+        evaluations = []
+        real = solver.prox_vector
+
+        def counting(*args, **kwargs):
+            evaluations.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "prox_vector", counting)
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        res = fit(small_data, pen, SolverOptions(variant="ista_reverse", max_iters=300))
+        assert res.matvecs == 1 + res.n_iterations + len(evaluations)
+
+    @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
+    def test_matches_kernel_calls(self, small_data, variant, kind, monkeypatch):
+        calls = []
+        for name in ("margins", "gradient_from_margins"):
+            real = getattr(solver, name)
+
+            def counting(*args, _real=real, **kwargs):
+                calls.append(1)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counting)
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
+        assert res.matvecs == len(calls)
+
+    @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
+    @pytest.mark.parametrize("max_iters", [0, 300])
+    def test_final_objective_is_bitwise_recomputation(self, small_data, variant, kind,
+                                                      max_iters):
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=max_iters))
+        assert res.final_objective == objective(res.beta, small_data, pen)
+
+    def test_carried_fista_margins_match_recomputed(self, monkeypatch):
+        data = make_dataset(seed=91, d=30, n=80)
+        pen = Penalty.l1(0.1 * lambda_max(data))
+        opts = SolverOptions(variant="fista_lip", tol=1e-12, max_iters=5000)
+        carried = fit(data, pen, opts)
+        real = solver._extrapolate
+
+        def recomputed(cand, z_cand, prev, z_prev, m):
+            w, _ = real(cand, z_cand, prev, z_prev, m)
+            return w, margins(w, data)
+
+        monkeypatch.setattr(solver, "_extrapolate", recomputed)
+        fresh = fit(data, pen, opts)
+        assert carried.converged and fresh.converged
+        assert carried.final_objective == pytest.approx(fresh.final_objective, rel=1e-12)
+        np.testing.assert_allclose(carried.beta, fresh.beta, rtol=1e-12, atol=1e-12)
+
+
+class TestFitClock:
+    def test_clock_includes_lipschitz_estimate(self, small_data, monkeypatch):
+        real = solver.lipschitz_constant
+
+        def slow(data, *args, **kwargs):
+            time.sleep(0.05)
+            return real(data, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "lipschitz_constant", slow)
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb", max_iters=3))
+        assert res.trace.times[-1] >= 0.05
 
 
 class TestSolverOptionsValidation:
