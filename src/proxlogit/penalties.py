@@ -5,13 +5,19 @@ Each provides a value g(beta) = sum_i g(beta_i) and the proximal map
 
     prox(t) = argmin_w  (L/2) (w - t)^2 + g(w).
 
-The l1 prox is the soft-threshold in closed form.  For the nonconvex
-penalties the prox is evaluated by candidate enumeration: the stationary
-point of every quadratic branch of the prox objective that falls inside its
-branch's region, together with the region boundaries, 0, and t itself.  g is
-piecewise quadratic, so the global minimizer is always in this set; ties are
-broken toward the candidate of smaller magnitude.  A brute-force grid oracle
-is included for verification.
+The l1 prox is the soft-threshold.  The nonconvex penalties have closed
+forms too (Breheny & Huang, AoAS 2011; Gong et al., ICML 2013).  g is
+piecewise quadratic, and the prox objective is convex when L exceeds the
+penalty's concavity, 1/theta for MCP and 1/(theta - 1) for SCAD: the prox is
+then the firm threshold (MCP) or the three-region SCAD threshold.  Below that
+scale, and always for capped l1, the minimizer is one of two candidates: the
+best point of the convex inner region (0, or the soft value clipped to the
+region) and the best point of the flat outer region, max(t, boundary).  The
+candidate of smaller prox objective wins; a tie goes to the smaller
+magnitude.  Every formula repeats the arithmetic of an exhaustive enumeration
+of branch stationary points and region boundaries, so the result equals it
+bitwise away from region boundaries.  A brute-force grid oracle is included
+for verification.
 """
 
 from __future__ import annotations
@@ -39,8 +45,9 @@ MCP = "mcp"
 CAPPED_L1 = "capped_l1"
 KINDS = (L1, SCAD, MCP, CAPPED_L1)
 
-# Below this, a branch of the prox objective is treated as linear and its
-# stationary point is skipped (the branch minimum is then at a boundary).
+# The prox objective counts as convex when L - 1/theta (MCP) or
+# L (theta - 1) - 1 (SCAD) exceeds this; otherwise its concave region is
+# minimized on a boundary.
 _DEGENERATE = 1e-12
 
 
@@ -121,53 +128,43 @@ def _check_L(L: float) -> float:
     return L
 
 
+def _pick(a: np.ndarray, b: np.ndarray, t: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
+    """The candidate a <= b of smaller prox objective at t; a wins a tie.
+
+    Written as ``fa <= fb`` so that the NaN objective of an infinite t
+    selects the unbounded candidate b.
+    """
+    fa = 0.5 * L * (a - t) ** 2 + _g_abs(a, pen)
+    fb = 0.5 * L * (b - t) ** 2 + _g_abs(b, pen)
+    return np.where(fa <= fb, a, b)
+
+
 def _prox_magnitudes(t: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
     """Prox of nonnegative magnitudes t; the result is also nonnegative."""
     lam = pen.lam
     if pen.kind == L1:
         return np.maximum(t - lam / L, 0.0)
-
-    ones = np.ones_like(t)
-    always = np.ones_like(t, dtype=bool)
-    cands = [np.zeros_like(t), t]
-    valid = [always, always]
-
-    if pen.kind == SCAD:
-        th = pen.theta
-        cands += [lam * ones, th * lam * ones]
-        valid += [always, always]
-        c_inner = t - lam / L
-        cands.append(c_inner)
-        valid.append((c_inner >= 0.0) & (c_inner <= lam))
-        denom = L * (th - 1.0) - 1.0
-        if abs(denom) > _DEGENERATE:
-            c_mid = (L * (th - 1.0) * t - th * lam) / denom
-            cands.append(c_mid)
-            valid.append((c_mid >= lam) & (c_mid <= th * lam))
-    elif pen.kind == MCP:
-        th = pen.theta
-        cands.append(th * lam * ones)
-        valid.append(always)
-        denom = L - 1.0 / th
-        if abs(denom) > _DEGENERATE:
-            c_inner = (L * t - lam) / denom
-            cands.append(c_inner)
-            valid.append((c_inner >= 0.0) & (c_inner <= th * lam))
-    else:  # capped l1
+    if pen.kind == CAPPED_L1:
         eps = pen.epsilon
-        cands.append(eps * ones)
-        valid.append(always)
-        c_inner = t - lam / L
-        cands.append(c_inner)
-        valid.append((c_inner >= 0.0) & (c_inner <= eps))
-
-    W = np.stack(cands)
-    mask = np.stack(valid)
-    obj = np.where(mask, 0.5 * L * (W - t) ** 2 + _g_abs(np.maximum(W, 0.0), pen), np.inf)
-    best = obj.min(axis=0)
-    # Ties resolve to the smallest magnitude (occur at exact region boundaries).
-    tied = np.where(obj == best, W, np.inf)
-    return tied.min(axis=0)
+        return _pick(np.minimum(np.maximum(t - lam / L, 0.0), eps), np.maximum(t, eps),
+                     t, pen, L)
+    th = pen.theta
+    if pen.kind == MCP:
+        denom = L - 1.0 / th
+        if denom > _DEGENERATE:
+            # Firm threshold: the stationary point exceeds t exactly when
+            # t > theta lam, so clipping it to [0, t] also keeps t there.
+            return np.minimum(np.maximum((L * t - lam) / denom, 0.0), t)
+        return _pick(np.zeros_like(t), np.maximum(t, th * lam), t, pen, L)
+    # SCAD
+    soft = np.minimum(np.maximum(t - lam / L, 0.0), lam)
+    denom = L * (th - 1.0) - 1.0
+    if denom > _DEGENERATE:
+        # As for MCP, the middle stationary point clipped to [lam, t] is
+        # also t beyond theta lam.
+        mid = np.minimum(np.maximum((L * (th - 1.0) * t - th * lam) / denom, lam), t)
+        return np.where(t <= lam + lam / L, soft, mid)
+    return _pick(soft, np.maximum(t, th * lam), t, pen, L)
 
 
 def prox_vector(u, pen: Penalty, L: float) -> np.ndarray:

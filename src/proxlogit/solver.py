@@ -292,9 +292,15 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
 
 
 def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                    L_start, eta, max_backtracks, sufficient_decrease) -> _SearchOutcome:
+                    L_start, eta, max_backtracks, sufficient_decrease,
+                    tried: int = 0) -> _SearchOutcome:
+    """Grow L from ``L_start`` by ``eta`` until a candidate passes.
+
+    ``tried`` counts the trials already made on this anchor; they count
+    toward ``max_backtracks`` and the outcome's ``trials`` and ``evaluations``.
+    """
     L = float(L_start)
-    for i in range(max_backtracks + 1):
+    for i in range(tried, max_backtracks + 1):
         ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
                                  sufficient_decrease)
         if ok:
@@ -317,10 +323,10 @@ def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
             continue
         if accepted is None:
             # The base step already violates (possible under sufficient
-            # decrease); grow forward from L0 instead.
-            out = _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
-                                  pen, L0, eta, max_backtracks, sufficient_decrease)
-            return out._replace(trials=out.trials + 1, evaluations=out.evaluations + 1)
+            # decrease); grow forward from the rejected L0 instead.
+            return _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
+                                   pen, L0 * eta, eta, max_backtracks,
+                                   sufficient_decrease, tried=1)
         break
     return accepted._replace(evaluations=i + 1)
 
@@ -358,8 +364,9 @@ def reverse_search(anchor, data: Dataset, pen: Penalty, L0: float, eta: float,
     accepted step (the smallest tested L that still satisfied it).
 
     If even L0 violates the criterion the search falls back to forward
-    backtracking from L0; if no violation occurs within ``max_expansions``
-    the last tested step is returned.
+    backtracking from eta * L0, with L0 counted as its first trial; if no
+    violation occurs within ``max_expansions`` the last tested step is
+    returned.
     """
     if criterion not in ("convex", "sufficient_decrease"):
         raise ValueError(f"unknown criterion {criterion!r}")

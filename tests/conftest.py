@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from proxlogit import Dataset
+
+# Property tests replay the same examples on every run and take no wall-clock
+# deadline, so tier-1 stays reproducible and its run time steady.
+settings.register_profile("proxlogit", derandomize=True, deadline=None, max_examples=200)
+settings.load_profile("proxlogit")
 
 
 def make_dataset(seed: int, d: int, n: int) -> Dataset:

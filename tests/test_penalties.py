@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from proxlogit import Penalty, penalty_value, prox_oracle, prox_scalar, prox_vector
+from proxlogit import KINDS, Penalty, penalty_value, prox_oracle, prox_scalar, prox_vector
+from proxlogit.penalties import CAPPED_L1, L1, MCP, SCAD, _DEGENERATE, _g_abs
 
 
 def random_penalty(kind, rng):
@@ -238,3 +240,151 @@ class TestProxAgainstOracle:
     def test_prox_validates_L(self):
         with pytest.raises(ValueError):
             prox_scalar(1.0, Penalty.l1(1.0), 0.0)
+
+
+def _enumeration_magnitudes(t: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
+    """Reference prox of magnitudes t by exact candidate enumeration.
+
+    The candidates are the stationary point of every quadratic branch of the
+    prox objective that falls inside its branch's region, the region
+    boundaries, 0 and t itself.  g is piecewise quadratic, so the global
+    minimizer is in this set; ties go to the smaller magnitude.  The closed
+    forms of ``penalties`` use its arithmetic and tie rule.
+    """
+    lam = pen.lam
+    if pen.kind == L1:
+        return np.maximum(t - lam / L, 0.0)
+
+    ones = np.ones_like(t)
+    always = np.ones_like(t, dtype=bool)
+    cands = [np.zeros_like(t), t]
+    valid = [always, always]
+
+    if pen.kind == SCAD:
+        th = pen.theta
+        cands += [lam * ones, th * lam * ones]
+        valid += [always, always]
+        c_inner = t - lam / L
+        cands.append(c_inner)
+        valid.append((c_inner >= 0.0) & (c_inner <= lam))
+        denom = L * (th - 1.0) - 1.0
+        if abs(denom) > _DEGENERATE:
+            c_mid = (L * (th - 1.0) * t - th * lam) / denom
+            cands.append(c_mid)
+            valid.append((c_mid >= lam) & (c_mid <= th * lam))
+    elif pen.kind == MCP:
+        th = pen.theta
+        cands.append(th * lam * ones)
+        valid.append(always)
+        denom = L - 1.0 / th
+        if abs(denom) > _DEGENERATE:
+            c_inner = (L * t - lam) / denom
+            cands.append(c_inner)
+            valid.append((c_inner >= 0.0) & (c_inner <= th * lam))
+    else:  # capped l1
+        eps = pen.epsilon
+        cands.append(eps * ones)
+        valid.append(always)
+        c_inner = t - lam / L
+        cands.append(c_inner)
+        valid.append((c_inner >= 0.0) & (c_inner <= eps))
+
+    W = np.stack(cands)
+    mask = np.stack(valid)
+    obj = np.where(mask, 0.5 * L * (W - t) ** 2 + _g_abs(np.maximum(W, 0.0), pen), np.inf)
+    best = obj.min(axis=0)
+    # Ties resolve to the smallest magnitude (occur at exact region boundaries).
+    tied = np.where(obj == best, W, np.inf)
+    return tied.min(axis=0)
+
+
+def _enumeration_prox(u: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
+    w = _enumeration_magnitudes(np.abs(u), pen, L)
+    return np.where(w == 0.0, 0.0, np.copysign(w, u))
+
+
+def _curvature(pen: Penalty) -> float:
+    """The scale L below which the prox objective is nonconvex (1 if never)."""
+    if pen.kind == MCP:
+        return 1.0 / pen.theta
+    if pen.kind == SCAD:
+        return 1.0 / (pen.theta - 1.0)
+    return 1.0
+
+
+def _boundaries(pen: Penalty, L: float) -> np.ndarray:
+    """The magnitudes t where the closed forms switch region."""
+    lam = pen.lam
+    return np.array([lam / L, lam + lam / L, pen.theta * lam, pen.epsilon])
+
+
+def _prox_objective(w, t, pen: Penalty, L: float) -> np.ndarray:
+    return 0.5 * L * (w - t) ** 2 + _g_abs(np.abs(w), pen)
+
+
+# Multiples of the curvature: below it, at it and 1e-13 to either side (where
+# a prox branch degenerates to a line), just above it and well above it.
+_WELL_CONDITIONED = st.one_of(
+    st.floats(0.01, 0.999),
+    st.sampled_from([1.0 - 1e-13, 1.0, 1.0 + 1e-13]),
+    st.floats(1.001, 1.1),
+    st.floats(1.1, 100.0),
+)
+# Barely above the curvature the firm and SCAD thresholds have slope
+# L / (L - curvature) at their lower end: a rounding of t there moves the
+# minimizer far along an almost flat prox objective.
+_NEAR_DEGENERATE = st.floats(1.0 + 1e-11, 1.001)
+
+
+@st.composite
+def prox_cases(draw, factors=_WELL_CONDITIONED):
+    kind = draw(st.sampled_from([SCAD, MCP, CAPPED_L1]))
+    lam = draw(st.floats(0.01, 10.0))
+    if kind == SCAD:
+        pen = Penalty.scad(lam, draw(st.floats(2.01, 8.0)))
+    elif kind == MCP:
+        pen = Penalty.mcp(lam, draw(st.floats(1.01, 8.0)))
+    else:
+        pen = Penalty.capped_l1(lam, draw(st.floats(0.01, 10.0)))
+    return pen, _curvature(pen) * draw(factors)
+
+
+class TestClosedFormMatchesEnumeration:
+    @given(prox_cases(st.one_of(_WELL_CONDITIONED, _NEAR_DEGENERATE)),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_equal_away_from_boundaries(self, case, seed):
+        pen, L = case
+        b = _boundaries(pen, L)
+        rng = np.random.default_rng(seed)
+        u = rng.standard_normal(400) * b.max() * 10.0 ** rng.uniform(-2.0, 1.0, size=400)
+        u = u[np.all(np.abs(np.abs(u)[:, None] - b) > 1e-9 * b, axis=1)]
+        np.testing.assert_array_equal(prox_vector(u, pen, L), _enumeration_prox(u, pen, L))
+
+    @given(prox_cases())
+    def test_close_at_boundaries(self, case):
+        pen, L = case
+        b = _boundaries(pen, L)
+        u = np.concatenate([b, -b])
+        w, ref = prox_vector(u, pen, L), _enumeration_prox(u, pen, L)
+        assert np.all(np.abs(w - ref) <= 1e-12 * np.abs(u))
+
+    @given(prox_cases(_NEAR_DEGENERATE))
+    def test_near_degenerate_boundaries_attain_enumeration_objective(self, case):
+        pen, L = case
+        b = _boundaries(pen, L)
+        u = np.concatenate([b, np.nextafter(b, 0.0), np.nextafter(b, np.inf)])
+        w = prox_vector(u, pen, L)
+        f_ref = _prox_objective(_enumeration_prox(u, pen, L), u, pen, L)
+        assert np.all(_prox_objective(w, u, pen, L) <= f_ref + 1e-12 * f_ref)
+        assert np.all(np.abs(w) <= u)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_non_finite_inputs_stay_non_finite(self, kind, factor):
+        # an infinite or NaN gradient step must not come back finite, so a
+        # diverging fit still ends in Trace.append's FloatingPointError
+        pen = random_penalty(kind, np.random.default_rng(8))
+        with np.errstate(invalid="ignore"):
+            w = prox_vector(np.array([np.inf, -np.inf, np.nan]), pen, factor * _curvature(pen))
+        assert w[0] == np.inf and w[1] == -np.inf
+        assert not np.isfinite(w[2])

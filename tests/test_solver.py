@@ -243,6 +243,53 @@ class TestReverseSearch:
             diff = out.candidate - anchor
             assert out.objective <= f_anchor - 0.5 * out.L * float(diff @ diff)
 
+    @staticmethod
+    def _record_prox_scales(monkeypatch) -> list:
+        scales = []
+        real = solver.prox_vector
+
+        def recording(u, pen, L):
+            scales.append(L)
+            return real(u, pen, L)
+
+        monkeypatch.setattr(solver, "prox_vector", recording)
+        return scales
+
+    def test_fallback_evaluates_each_scale_once(self, small_data, monkeypatch):
+        # the fallback grows forward past the rejected L0 instead of
+        # re-evaluating it: one prox per evaluation, no L tried twice
+        L_lip = lipschitz_constant(small_data)
+        pen = Penalty.scad(0.2 * lambda_max(small_data), 3.7)
+        rng = np.random.default_rng(16)
+        scales = self._record_prox_scales(monkeypatch)
+        for _ in range(10):
+            anchor = rng.normal(size=small_data.n_features)
+            state = solver._anchor_state(anchor, small_data, pen)
+            scales.clear()
+            out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
+                                         sufficient_decrease=True)
+            assert out.L > L_lip / 64  # the fallback path
+            assert len(scales) == out.evaluations == out.trials + 1
+            assert len(set(scales)) == len(scales)
+            assert scales == [L_lip / 64 * 2.0 ** i for i in range(len(scales))]
+
+    def test_fallback_budget_keeps_last_L(self, small_data, monkeypatch):
+        # L0, then max_backtracks forward steps: the same scales and last_L
+        # as a forward search from L0
+        pen = Penalty.scad(0.2 * lambda_max(small_data), 3.7)
+        anchor = np.random.default_rng(16).normal(size=small_data.n_features)
+        L0 = lipschitz_constant(small_data) * 2.0 ** -40
+        scales = self._record_prox_scales(monkeypatch)
+        with pytest.raises(LineSearchError, match="after 3 backtracks") as err:
+            reverse_search(anchor, small_data, pen, L0=L0, eta=2.0,
+                           criterion="sufficient_decrease", max_backtracks=3)
+        assert scales == [L0, 2.0 * L0, 4.0 * L0, 8.0 * L0]
+        assert err.value.last_L == 8.0 * L0
+        with pytest.raises(LineSearchError) as forward_err:
+            linesearch_sufficient_decrease(anchor, small_data, pen, L_start=L0, eta=2.0,
+                                           max_backtracks=3)
+        assert forward_err.value.last_L == err.value.last_L
+
     def test_unknown_criterion(self, small_data):
         with pytest.raises(ValueError):
             reverse_search(np.zeros(small_data.n_features), small_data,
