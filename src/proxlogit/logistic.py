@@ -35,6 +35,7 @@ __all__ = [
     "softplus",
 ]
 
+_FLOAT_EPS = float(np.finfo(np.float64).eps)
 _FLOAT_TINY = float(np.finfo(np.float64).tiny)
 
 
@@ -83,46 +84,79 @@ def _unrepresentable(peak: float) -> ValueError:
                       f"feature scale max|x| = {peak:g}; rescale the features")
 
 
-def _power_iteration(X: np.ndarray, tol: float, max_iters: int):
-    """Largest eigenvalue of X X' via products X (X' v); never forms X X'.
+def _top_eigenvalue(X: np.ndarray, tol: float, max_iters: int):
+    """Largest eigenvalue of X X' by Lanczos from a random start; never forms X X'.
+
+    X X' and X' X share their nonzero eigenvalues, so the Krylov basis lives
+    in the smaller of the two dimensions and grows by one vector per step;
+    each new vector is reorthogonalised against the whole basis.  Step j
+    costs one product pair, X (X' v) or X' (X v), and extends the
+    tridiagonal T_j, whose top eigenvalue theta (the top Ritz value) is a
+    lower bound on the top eigenvalue.  The loop stops when theta has
+    settled: it matches the previous step's to ``tol`` relative, and the
+    Kato-Temple bound r**2 / (theta - theta_2) is at most ``tol`` relative
+    too, where r = beta_j |y_j| is the residual norm of the top Ritz pair and
+    theta_2 the next Ritz value.  It also stops when beta_j falls to rounding
+    level (the basis spans an invariant subspace and theta is exact), or
+    after min(``max_iters``, dimension) steps.  The start is random but
+    seeded, so the result is reproducible, no eigenvector is missed for lying
+    orthogonal to a fixed start, and reordering the features changes the
+    result by rounding only.
 
     The products run on X scaled by s = 2**-e, where e is the binary exponent
     of max |x_ij|, so they stay finite at any feature scale; X itself is not
     copied.  Scaling by a power of two is exact away from the subnormal range,
-    so the quotients equal the unscaled ones bit for bit.  Returns the final Rayleigh quotient and the
-    full quotient history, both unscaled (the history is nondecreasing on
-    this positive semidefinite operator).  A zero operator yields 0.0 after
-    one random restart.  Raises ``ValueError`` when a nonzero X has a top
-    eigenvalue outside the normal float64 range.
+    so the results equal the unscaled ones bit for bit.  Returns the final
+    theta and the history of theta, one per step, both unscaled; up to
+    rounding the history is nondecreasing and bounded by the top eigenvalue.
+    A zero X returns 0.0 with an empty history.  Raises ``ValueError`` when a
+    nonzero X has a top eigenvalue outside the normal float64 range.
     """
     peak = max(float(np.max(X)), -float(np.min(X)))
+    if peak == 0.0:
+        return 0.0, []
     # The top eigenvalue is at least peak**2, so an overflow here is final.
     if math.isinf(peak * peak):
         raise _unrepresentable(peak)
     s = math.ldexp(1.0, -max(math.frexp(peak)[1], -1021))
-    d = X.shape[0]
-    v = np.ones(d) / np.sqrt(d)
+    # The start is drawn over the samples, g for a basis in n and X g for one
+    # in d, so reordering the features reorders the start with them.
+    d, n = X.shape
+    v = np.random.default_rng(0).standard_normal(n)
+    if d <= n:
+        v = (X @ v) * s
+
+        def product(v):
+            return (X @ ((v @ X) * s)) * s
+    else:
+        def product(v):
+            return (((X @ v) * s) @ X) * s
+    dim = v.size
+    basis = (v / np.linalg.norm(v))[np.newaxis]
+    alphas: list[float] = []
+    betas: list[float] = []
     history: list[float] = []
-    restarted = False
-    rayleigh = 0.0
-    for _ in range(max_iters):
-        w = (X @ ((v @ X) * s)) * s
-        rayleigh = float(v @ w)
-        if rayleigh <= 0.0:
-            if not restarted:
-                restarted = True
-                rng = np.random.default_rng(0)
-                v = rng.standard_normal(d)
-                v /= np.linalg.norm(v)
-                continue
-            history.append(0.0)
-            return 0.0, history
-        history.append(rayleigh)
-        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol * abs(history[-1]):
+    for _ in range(min(max_iters, dim)):
+        v = basis[-1]
+        w = product(v)
+        alphas.append(float(v @ w))
+        w -= alphas[-1] * v
+        if betas:
+            w -= betas[-1] * basis[-2]
+        w -= (basis @ w) @ basis
+        beta = float(np.linalg.norm(w))
+        ritz, vectors = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+        history.append(float(ritz[-1]))
+        if beta <= dim * _FLOAT_EPS * ritz[-1]:
             break
-        v = w / np.linalg.norm(w)
-    top = rayleigh / s / s
-    if peak > 0.0 and not _FLOAT_TINY <= top < math.inf:
+        residual = beta * abs(vectors[-1, -1])
+        if (len(history) >= 2 and abs(ritz[-1] - history[-2]) < tol * ritz[-1]
+                and residual ** 2 <= tol * ritz[-1] * (ritz[-1] - ritz[-2])):
+            break
+        betas.append(beta)
+        basis = np.vstack((basis, w / beta))
+    top = history[-1] / s / s
+    if not _FLOAT_TINY <= top < math.inf:
         raise _unrepresentable(peak)
     return top, [h / s / s for h in history]
 
@@ -130,16 +164,17 @@ def _power_iteration(X: np.ndarray, tol: float, max_iters: int):
 def lipschitz_constant(data: Dataset, tol: float = 1e-8, max_iters: int = 1000) -> float:
     """Gradient Lipschitz constant, a quarter of the top eigenvalue of X X'.
 
-    Estimated by power iteration until successive Rayleigh quotients agree to
-    ``tol`` relative.  A zero feature matrix returns 0.0 with a warning (no
-    step size can be derived from it); features so large or so small that
-    the constant over- or underflows float64 raise ``ValueError``.
+    Estimated by Lanczos from a seeded random start, at most ``max_iters``
+    product pairs, until the estimate has settled to ``tol`` relative.  A
+    zero feature matrix returns 0.0 with a warning (no step size can be
+    derived from it); features so large or so small that the constant over-
+    or underflows float64 raise ``ValueError``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
-    top, _ = _power_iteration(data.features, tol, max_iters)
+    top, _ = _top_eigenvalue(data.features, tol, max_iters)
     if top == 0.0:
         warnings.warn("feature matrix has no positive spectrum; returning 0", stacklevel=2)
     return 0.25 * top

@@ -172,7 +172,8 @@ def prox_vector(u, pen: Penalty, L: float) -> np.ndarray:
     L = _check_L(L)
     u = np.asarray(u, dtype=np.float64)
     w = _prox_magnitudes(np.abs(u), pen, L)
-    return np.where(w == 0.0, 0.0, np.copysign(w, u))
+    # Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
+    return np.copysign(w, u) + 0.0
 
 
 def prox_scalar(t: float, pen: Penalty, L: float) -> float:

@@ -28,7 +28,7 @@ product.  FISTA's extrapolated point w = c + m (c - c_prev) gets its margins
 by linearity, z_w = z_c + m (z_c - z_prev), at no product.  A fit therefore
 makes one product for the starting point plus, per iteration, one for the
 gradient and one per evaluated candidate; ``FitResult.matvecs`` reports the
-total, leaving out the power iteration behind the Lipschitz estimate.  The
+total, leaving out the products of the Lipschitz estimate.  The
 fit clock starts on entry to ``fit``, so ``Trace.times`` includes the
 Lipschitz estimate and the other set-up.
 
@@ -182,7 +182,7 @@ class FitResult:
     was given, or ``None`` when it neither needed nor received one; pass it
     as ``fit(..., lipschitz=)`` to a later fit on the same features to skip
     the estimate.  ``matvecs`` is the number of products with the feature
-    matrix (X' b or X r) the fit made, power iteration excluded: 1 for the
+    matrix (X' b or X r) the fit made, Lipschitz estimate excluded: 1 for the
     starting point plus, per iteration, 1 for the gradient and 1 per
     evaluated candidate.
     """
@@ -410,9 +410,9 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     relative objective change falls to ``opts.tol`` (converged) or at
     ``opts.max_iters`` (not converged); the trace records every iteration.
 
-    The Lipschitz constant of the loss gradient is estimated by power
-    iteration the first time the variant needs it, and at most once per fit.
-    ``lipschitz`` supplies it instead.  Given the value
+    The Lipschitz constant of the loss gradient is estimated by Lanczos (see
+    ``lipschitz_constant``) the first time the variant needs it, and at most
+    once per fit.  ``lipschitz`` supplies it instead.  Given the value
     ``lipschitz_constant(data)`` returns, or ``FitResult.lipschitz`` of an
     earlier fit on the same features, the fit is bitwise equal to one that
     estimates it.  ``run_path`` does this, so a whole path makes at most one

@@ -5,7 +5,7 @@ import pytest
 
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
 from proxlogit.logistic import (
-    _power_iteration,
+    _top_eigenvalue,
     gradient_from_margins,
     loss_from_margins,
     margins,
@@ -30,6 +30,15 @@ def fd_gradient(beta, data, h=1e-5):
         e[i] = h
         g[i] = (loss_value(beta + e, data) - loss_value(beta - e, data)) / (2 * h)
     return g
+
+
+def assert_gradient_lipschitz(data, L, seed):
+    # ||grad(a) - grad(b)|| <= L ||a - b|| on random pairs
+    rng = np.random.default_rng(seed)
+    for _ in range(50):
+        a, b = rng.normal(size=data.n_features), rng.normal(size=data.n_features)
+        lhs = np.linalg.norm(loss_gradient(a, data) - loss_gradient(b, data))
+        assert lhs <= L * np.linalg.norm(a - b) * (1 + 1e-10)
 
 
 class TestSoftplus:
@@ -145,19 +154,58 @@ class TestLipschitzConstant:
             assert lipschitz_constant(data) == 0.0
 
     def test_gradient_lipschitz_inequality(self):
-        # ||grad(a) - grad(b)|| <= L ||a - b|| on random pairs
         data = make_dataset(seed=55, d=10, n=40)
+        assert_gradient_lipschitz(data, lipschitz_constant(data), seed=56)
+
+    @pytest.mark.parametrize("features", [
+        [[1.0, 0.5], [-1.0, 0.5]],
+        [[2.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0], [0.0, 0.0, 2.0, 1.0], [-2.0, -2.0, -2.0, 1.0]],
+    ])
+    def test_ones_vector_eigenvector_of_lower_eigenvalue(self, features):
+        # the all-ones vector is an eigenvector of X X' for a smaller
+        # eigenvalue, so a power iteration started there never leaves it
+        X = np.array(features)
+        data = Dataset(X, np.resize([1.0, 0.0], X.shape[1]))
         L = lipschitz_constant(data)
-        rng = np.random.default_rng(56)
-        for _ in range(50):
-            a, b = rng.normal(size=10), rng.normal(size=10)
-            lhs = np.linalg.norm(loss_gradient(a, data) - loss_gradient(b, data))
-            assert lhs <= L * np.linalg.norm(a - b) * (1 + 1e-10)
+        assert L == pytest.approx(0.25 * np.linalg.eigvalsh(X @ X.T)[-1], rel=1e-12)
+        assert_gradient_lipschitz(data, L, seed=57)
+
+    @pytest.mark.parametrize("shape", [(200, 640), (300, 80)])
+    def test_accurate_in_few_steps_in_either_orientation(self, shape):
+        # The basis lives in the smaller dimension: d for 200x640, n for
+        # 300x80.  Successive values can agree to tol while still more than
+        # tol below the top eigenvalue; the error bound keeps the loop going.
+        for seed in range(40):
+            X = np.random.default_rng(seed).standard_normal(shape)
+            small = X @ X.T if shape[0] <= shape[1] else X.T @ X
+            top = np.linalg.eigvalsh(small)[-1]
+            estimate, history = _top_eigenvalue(X, tol=1e-8, max_iters=1000)
+            assert estimate == pytest.approx(top, rel=1e-8), seed
+            assert len(history) <= 60, seed
+        data = Dataset(X, np.resize([1.0, 0.0], shape[1]))
+        assert lipschitz_constant(data) == 0.25 * estimate
+
+    @pytest.mark.parametrize("shape", [(200, 640), (300, 80)])
+    def test_feature_order_changes_rounding_only(self, shape):
+        X = np.random.default_rng(62).standard_normal(shape)
+        perm = np.random.default_rng(63).permutation(shape[0])
+        top, history = _top_eigenvalue(X, tol=1e-8, max_iters=1000)
+        top_perm, history_perm = _top_eigenvalue(X[perm], tol=1e-8, max_iters=1000)
+        assert len(history_perm) == len(history)
+        assert top_perm == pytest.approx(top, rel=1e-12)
+
+    def test_invariant_subspace_stops_exactly(self):
+        # X X' = diag(4, 1, 1, 1, 1) has two distinct eigenvalues, so the
+        # Krylov space of any start is invariant after two steps
+        X = np.diag([2.0, 1.0, 1.0, 1.0, 1.0])
+        top, history = _top_eigenvalue(X, tol=1e-8, max_iters=1000)
+        assert len(history) == 2
+        assert top == pytest.approx(4.0, rel=1e-14)
 
     def test_rayleigh_history_monotone_and_bounded(self):
         rng = np.random.default_rng(60)
         X = rng.standard_normal((6, 9))
-        _, history = _power_iteration(X, tol=1e-12, max_iters=500)
+        _, history = _top_eigenvalue(X, tol=1e-12, max_iters=500)
         hist = np.asarray(history)
         assert np.all(np.diff(hist) >= -1e-9 * hist[-1])
         top = np.linalg.eigvalsh(X @ X.T)[-1]

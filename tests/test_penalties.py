@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from proxlogit import KINDS, Penalty, penalty_value, prox_oracle, prox_scalar, prox_vector
-from proxlogit.penalties import CAPPED_L1, L1, MCP, SCAD, _DEGENERATE, _g_abs
+from proxlogit.penalties import CAPPED_L1, L1, MCP, SCAD, _DEGENERATE, _g_abs, _prox_magnitudes
 
 
 def random_penalty(kind, rng):
@@ -172,6 +172,24 @@ class TestProxInvariants:
         vec = prox_vector(u, pen, L)
         loops = np.array([prox_scalar(t, pen, L) for t in u])
         np.testing.assert_array_equal(vec, loops)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_signs_match_three_pass_form_bitwise(self, kind, factor):
+        # assert_array_equal cannot see the sign of a zero, so compare bits
+        pen = random_penalty(kind, np.random.default_rng(9))
+        L = factor * _curvature(pen)
+        b = _boundaries(pen, L)
+        rng = np.random.default_rng(10)
+        u = np.concatenate([
+            [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, -1e-310],
+            b, -b, rng.standard_normal(400) * 10.0 ** rng.uniform(-3.0, 2.0, size=400)])
+        with np.errstate(invalid="ignore"):
+            w = _prox_magnitudes(np.abs(u), pen, L)
+            out = prox_vector(u, pen, L)
+        three_pass = np.where(w == 0.0, 0.0, np.copysign(w, u))
+        np.testing.assert_array_equal(out.view(np.uint64), three_pass.view(np.uint64))
+        assert not np.any(np.signbit(out[out == 0.0]))
 
 
 class TestProxAgainstOracle:
