@@ -353,6 +353,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "final_objective": result.final_objective,
         "nnz": result.nnz,
         "matvecs": result.matvecs,
+        "feature_rows": result.feature_rows,
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
         "time_s": result.trace.times[-1] if len(result.trace) else 0.0,
     })

@@ -14,6 +14,7 @@ import dataclasses
 import numpy as np
 
 from .data import Dataset
+from .logistic import margins
 from .penalties import Penalty
 from .solver import FitResult, SolverOptions, fit
 
@@ -118,11 +119,7 @@ def kfold_split(n: int, k: int, seed: int = 0) -> list[np.ndarray]:
 
 def predict(beta, data: Dataset) -> np.ndarray:
     """Predicted labels: 1 where the margin x' beta is nonnegative, else 0."""
-    beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (data.n_features,):
-        raise ValueError(
-            f"coefficient vector has shape {beta.shape}, expected ({data.n_features},)")
-    return np.where(beta @ data.features >= 0.0, 1.0, 0.0)
+    return np.where(margins(beta, data) >= 0.0, 1.0, 0.0)
 
 
 def accuracy(beta, data: Dataset) -> float:

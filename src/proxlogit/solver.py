@@ -28,9 +28,15 @@ product.  FISTA's extrapolated point w = c + m (c - c_prev) gets its margins
 by linearity, z_w = z_c + m (z_c - z_prev), at no product.  A fit therefore
 makes one product for the starting point plus, per iteration, one for the
 gradient and one per evaluated candidate; ``FitResult.matvecs`` reports the
-total, leaving out the products of the Lipschitz estimate.  The
-fit clock starts on entry to ``fit``, so ``Trace.times`` includes the
-Lipschitz estimate and the other set-up.
+total, leaving out the products of the Lipschitz estimate.  A margin product
+of a point with at most a quarter of its coefficients nonzero reads only the
+feature rows of its support (see ``logistic.margins``).  Each fit keeps the
+last gathered rows in its own ``SupportRows`` holder and reuses them while
+the support stays the same, which it often does from one trial to the next.
+A gathered product still counts as one matvec; ``FitResult.feature_rows``
+counts the rows the products read.  The fit clock starts on entry to
+``fit``, so ``Trace.times`` includes the Lipschitz estimate and the other
+set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -47,8 +53,8 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .logistic import (gradient_from_margins, lipschitz_constant, loss_from_margins,
-                       loss_gradient, loss_value, margins)
+from .logistic import (SupportRows, gradient_from_margins, lipschitz_constant,
+                       loss_from_margins, loss_gradient, loss_value, margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 if TYPE_CHECKING:
@@ -184,7 +190,11 @@ class FitResult:
     the estimate.  ``matvecs`` is the number of products with the feature
     matrix (X' b or X r) the fit made, Lipschitz estimate excluded: 1 for the
     starting point plus, per iteration, 1 for the gradient and 1 per
-    evaluated candidate.
+    evaluated candidate.  A margin product that reads only the rows of a
+    sparse point's support counts as one too.  ``feature_rows`` is the number
+    of feature rows those products read, a machine-independent measure of
+    their cost: d per full product and |s| per product gathered on a
+    support s.
     """
 
     beta: np.ndarray
@@ -192,6 +202,7 @@ class FitResult:
     trace: Trace
     final_objective: float
     matvecs: int
+    feature_rows: int
     lipschitz: float | None = None
 
     @property
@@ -269,15 +280,15 @@ class _SearchOutcome(NamedTuple):
 
 
 def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                   sufficient_decrease: bool) -> tuple[bool, _SearchOutcome]:
+                   sufficient_decrease: bool, rows=None) -> tuple[bool, _SearchOutcome]:
     """Evaluate the proximal candidate at scale L with one product X' candidate.
 
-    ``f_anchor`` is read only by the sufficient-decrease criterion.  The
-    outcome counts as the first trial; searches set ``trials`` and
-    ``evaluations``.
+    ``f_anchor`` is read only by the sufficient-decrease criterion; ``rows``
+    is the caller's ``SupportRows`` holder, if any.  The outcome counts as
+    the first trial; searches set ``trials`` and ``evaluations``.
     """
     cand = prox_vector(anchor - grad_anchor / L, pen, L)
-    z_cand = margins(cand, data)
+    z_cand = margins(cand, data, rows)
     l_cand = loss_from_margins(z_cand, data)
     pen_cand = penalty_value(cand, pen)
     f_cand = l_cand + pen_cand
@@ -293,7 +304,7 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
 
 def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L_start, eta, max_backtracks, sufficient_decrease,
-                    tried: int = 0) -> _SearchOutcome:
+                    tried: int = 0, rows=None) -> _SearchOutcome:
     """Grow L from ``L_start`` by ``eta`` until a candidate passes.
 
     ``tried`` counts the trials already made on this anchor; they count
@@ -302,7 +313,7 @@ def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
     L = float(L_start)
     for i in range(tried, max_backtracks + 1):
         ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                                 sufficient_decrease)
+                                 sufficient_decrease, rows)
         if ok:
             return out._replace(trials=i, evaluations=i + 1)
         L *= eta
@@ -313,11 +324,11 @@ def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
 
 def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L0, eta, max_expansions, max_backtracks,
-                    sufficient_decrease) -> _SearchOutcome:
+                    sufficient_decrease, rows=None) -> _SearchOutcome:
     accepted: _SearchOutcome | None = None
     for i in range(max_expansions):
         ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                                 L0 / eta ** i, sufficient_decrease)
+                                 L0 / eta ** i, sufficient_decrease, rows)
         if ok:
             accepted = out._replace(trials=i)
             continue
@@ -326,7 +337,7 @@ def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
             # decrease); grow forward from the rejected L0 instead.
             return _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
                                    pen, L0 * eta, eta, max_backtracks,
-                                   sufficient_decrease, tried=1)
+                                   sufficient_decrease, tried=1, rows=rows)
         break
     return accepted._replace(evaluations=i + 1)
 
@@ -440,7 +451,8 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
 
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
-    z_beta = margins(beta, data)  # carried with beta; the one product outside the loop
+    rows = SupportRows()  # this fit's gathered support rows, dropped on return
+    z_beta = margins(beta, data, rows)  # carried with beta; the one product outside the loop
     matvecs = 1
     l_prev = loss_from_margins(z_beta, data)
     f_prev = l_prev + penalty_value(beta, pen)
@@ -460,7 +472,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
             # The convex criterion never reads f_anchor, so w's penalty is skipped.
             out = _forward_search(w, loss_from_margins(z_w, data), None, grad_w, data, pen,
                                   L_carry, opts.eta, opts.max_backtracks,
-                                  sufficient_decrease=False)
+                                  sufficient_decrease=False, rows=rows)
             L_carry = out.L
             diff = out.candidate - beta
             step_sq = float(diff @ diff)
@@ -479,14 +491,14 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
                     seed = min(max(seed, lip() / _BB_CLAMP), lip() * _BB_CLAMP)
                 bb_prev = (beta, grad)
                 out = _forward_search(beta, l_prev, f_prev, grad, data, pen, seed,
-                                      opts.eta, opts.max_backtracks, sufficient)
+                                      opts.eta, opts.max_backtracks, sufficient, rows=rows)
             elif opts.variant == "ista_reverse":
                 out = _reverse_search(beta, l_prev, f_prev, grad, data, pen, L0,
                                       opts.eta, opts.max_expansions,
-                                      opts.max_backtracks, sufficient)
+                                      opts.max_backtracks, sufficient, rows=rows)
             else:  # ista_vanilla
                 out = _forward_search(beta, l_prev, f_prev, grad, data, pen, L_carry,
-                                      opts.eta, opts.max_backtracks, sufficient)
+                                      opts.eta, opts.max_backtracks, sufficient, rows=rows)
                 L_carry = out.L
 
         matvecs += 1 + out.evaluations
@@ -499,5 +511,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         if converged:
             break
 
+    # Every iteration made one full gradient product besides its margin products.
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
-                     lipschitz=lip_cache.get("L"), matvecs=matvecs)
+                     lipschitz=lip_cache.get("L"), matvecs=matvecs,
+                     feature_rows=rows.read + data.n_features * len(trace))

@@ -57,6 +57,8 @@ class TestTrain:
         summary = json.loads(read(os.path.join(out, "summary.json")))
         assert summary["converged"] is True
         assert summary["matvecs"] >= 1 + 2 * summary["iterations"]
+        # 50 features at 0.1 lambda_max: sparse products read fewer rows
+        assert 0 < summary["feature_rows"] < 50 * summary["matvecs"]
 
     def test_zero_iterations_exits_2(self, tmp_path):
         out = str(tmp_path / "run")

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
 from proxlogit.logistic import (
+    SupportRows,
     _top_eigenvalue,
     gradient_from_margins,
     loss_from_margins,
@@ -130,6 +132,73 @@ class TestMarginKernels:
     def test_margins_dimension_mismatch(self, small_data):
         with pytest.raises(ValueError, match="shape"):
             margins(np.zeros(small_data.n_features + 1), small_data)
+
+
+def sparse_beta(rng, d, k):
+    """A coefficient vector with exactly k nonzeros at random positions."""
+    beta = np.zeros(d)
+    beta[rng.choice(d, size=k, replace=False)] = rng.normal(size=k)
+    return beta
+
+
+class TestGatheredMargins:
+    @given(st.integers(1, 40), st.integers(1, 30), st.data())
+    def test_close_to_full_product_at_every_support_size(self, d, n, draw):
+        # supports from 0 to d cover both the gathered (4 k <= d) and the
+        # full branch; the bound scales with the sum of |terms|
+        k = draw.draw(st.integers(0, d), label="support size")
+        seed = draw.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.normal(size=(d, n)), rng.integers(0, 2, size=n).astype(float))
+        beta = sparse_beta(rng, d, k)
+        full = beta @ data.features
+        bound = 1e-12 * (np.abs(beta) @ np.abs(data.features))
+        for z in (margins(beta, data), margins(beta, data, SupportRows())):
+            assert z.shape == (n,)
+            assert np.all(np.abs(z - full) <= bound)
+
+    def test_zero_beta_gives_positive_zeros(self, small_data):
+        for beta in (np.zeros(small_data.n_features), np.full(small_data.n_features, -0.0)):
+            rows = SupportRows()
+            z = margins(beta, small_data, rows)
+            assert z.shape == (small_data.n_samples,)
+            assert np.all(z == 0.0) and not np.any(np.signbit(z))
+            assert rows.read == 0
+
+    def test_negative_zeros_count_as_zero(self, small_data):
+        d = small_data.n_features
+        beta = np.full(d, -0.0)
+        beta[:d // 4] = 1.5
+        rows = SupportRows()
+        margins(beta, small_data, rows)
+        assert rows.read == d // 4
+        np.testing.assert_array_equal(rows.support, np.arange(d // 4))
+        beta[d // 4] = 1.5  # one more nonzero crosses a quarter: the full product
+        margins(beta, small_data, rows)
+        assert rows.read == d // 4 + d
+
+    def test_holder_reuse_is_bitwise_equal_to_fresh_gather(self):
+        data = make_dataset(seed=34, d=64, n=50)
+        rng = np.random.default_rng(35)
+        supports = [
+            [3, 9, 20], [3, 9, 20],        # repeat
+            [3, 20], [3, 20],              # shrink
+            [3, 9, 20, 41, 60], [3, 9, 20, 41, 60],  # grow
+            [0, 1, 2, 5, 7, 8, 11],        # disjoint
+            list(range(0, 64, 2)),         # dense: the full product
+            [3, 20], [3, 20, 61], [],      # back to sparse, then zero
+        ]
+        rows = SupportRows()
+        read = 0
+        for _ in range(3):
+            for support in supports:
+                beta = np.zeros(data.n_features)
+                beta[support] = rng.normal(size=len(support))
+                z = margins(beta, data, rows)
+                np.testing.assert_array_equal(z.view(np.uint64),
+                                              margins(beta, data).view(np.uint64))
+                read += len(support) if 4 * len(support) <= data.n_features else data.n_features
+                assert rows.read == read
 
 
 class TestLipschitzConstant:

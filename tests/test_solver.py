@@ -574,6 +574,55 @@ class TestMatvecs:
         np.testing.assert_allclose(carried.beta, fresh.beta, rtol=1e-12, atol=1e-12)
 
 
+def record_products(monkeypatch, d):
+    """Patch the kernels ``fit`` calls; return the feature rows each product reads.
+
+    A margin product reads the k rows of its support when 4 k <= d, else all d;
+    a gradient product reads all d.
+    """
+    rows = []
+    real_margins, real_gradient = solver.margins, solver.gradient_from_margins
+
+    def recording_margins(beta, *args, **kwargs):
+        k = np.count_nonzero(beta)
+        rows.append(k if 4 * k <= d else d)
+        return real_margins(beta, *args, **kwargs)
+
+    def recording_gradient(*args, **kwargs):
+        rows.append(d)
+        return real_gradient(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "margins", recording_margins)
+    monkeypatch.setattr(solver, "gradient_from_margins", recording_gradient)
+    return rows
+
+
+class TestFeatureRows:
+    @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
+    def test_counts_rows_of_every_product(self, small_data, variant, kind, monkeypatch):
+        rows = record_products(monkeypatch, small_data.n_features)
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
+        assert res.matvecs == len(rows)
+        assert res.feature_rows == sum(rows)
+
+    @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip", "ista_reverse"])
+    def test_sparse_wide_fit_gathers(self, variant, monkeypatch):
+        # d > n at 0.3 lambda_max: most margin products read only the support rows
+        data = make_dataset(seed=92, d=200, n=60)
+        d = data.n_features
+        rows = record_products(monkeypatch, d)
+        pen = Penalty.l1(0.3 * lambda_max(data))
+        res = fit(data, pen, SolverOptions(variant=variant))
+        assert res.converged
+        # one gradient per iteration; at least half the margin products gather
+        gathered = sum(1 for r in rows if r < d)
+        assert 2 * gathered >= len(rows) - res.n_iterations > 0
+        assert res.matvecs == len(rows)
+        assert res.feature_rows == sum(rows) < d * res.matvecs
+        assert res.final_objective == objective(res.beta, data, pen)
+
+
 class TestFitClock:
     def test_clock_includes_lipschitz_estimate(self, small_data, monkeypatch):
         real = solver.lipschitz_constant
