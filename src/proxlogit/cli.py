@@ -370,13 +370,14 @@ def cmd_path(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
 
     with open(os.path.join(out, "path.csv"), "w", encoding="utf-8") as fh:
-        fh.write("fraction,lambda,final_objective,iterations,nnz,time_s\n")
+        fh.write("fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows\n")
         for pt in points:
             res = pt.result
             elapsed = res.trace.times[-1] if len(res.trace) else 0.0
             fh.write(",".join([
                 format(pt.fraction, "g"), _fmt(pt.lam), _fmt(res.final_objective),
                 str(res.n_iterations), str(res.nnz), _fmt(elapsed),
+                str(res.matvecs), str(res.feature_rows),
             ]) + "\n")
     for pt in points:
         payload = _coefficients_payload(pt.result.beta, pt.lam, cfg)

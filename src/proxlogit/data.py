@@ -36,13 +36,15 @@ class Dataset:
     ``features`` is a dense (n_features, n_samples) float array; ``labels``
     holds one value in {0, 1} per sample.  Arrays are copied and marked
     read-only, so instances are safe to share across concurrent solver runs.
+    The features are copied in C order, whatever the input's layout, so each
+    feature row is contiguous and a gather of rows reads whole rows.
     """
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        X = np.array(self.features, dtype=np.float64)
+        X = np.array(self.features, dtype=np.float64, order="C")
         y = np.array(self.labels, dtype=np.float64)
         if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
             raise ValueError(f"features must be (d, n) with d, n >= 1, got shape {X.shape}")
@@ -97,6 +99,12 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.vstack([X, np.ones((1, X.shape[1]))])
 
 
+# load_csv turns parsed rows into an array every this many rows, so the
+# Python floats of at most one block are alive at a time (about 1 MB at 250
+# columns) instead of those of the whole file.
+_CSV_BLOCK_ROWS = 128
+
+
 def load_csv(path, label_column: int, has_header: bool = False,
              add_intercept: bool = False) -> Dataset:
     """Load comma-separated data, one sample per line.
@@ -106,6 +114,7 @@ def load_csv(path, label_column: int, has_header: bool = False,
     With ``add_intercept`` a constant-1 feature is appended; note it is
     penalized like any other feature.
     """
+    blocks: list[np.ndarray] = []
     rows: list[list[float]] = []
     labels: list[float] = []
     expected: int | None = None
@@ -125,19 +134,28 @@ def load_csv(path, label_column: int, has_header: bool = False,
             elif len(cells) != expected:
                 raise DataError(
                     f"row at line {lineno}: expected {expected} cells, got {len(cells)}")
-            values = []
-            for col, cell in enumerate(cells):
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"line {lineno}, column {col + 1}: non-numeric cell {cell.strip()!r}") from None
-            labels.append(_canonical_label(values[label_column],
+            try:
+                values = list(map(float, cells))
+            except ValueError:
+                # Rescan only a faulty line, to name its first bad cell.
+                for col, cell in enumerate(cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(f"line {lineno}, column {col + 1}: "
+                                        f"non-numeric cell {cell.strip()!r}") from None
+                raise
+            labels.append(_canonical_label(values.pop(label_column),
                                            f"line {lineno}, column {label_column + 1}"))
-            rows.append(values[:label_column] + values[label_column + 1:])
-    if not rows:
+            rows.append(values)
+            if len(rows) == _CSV_BLOCK_ROWS:
+                blocks.append(np.array(rows, dtype=np.float64))
+                rows.clear()
+    if not labels:
         raise DataError(f"{path}: no data rows")
-    X = np.array(rows, dtype=np.float64).T
+    if rows:
+        blocks.append(np.array(rows, dtype=np.float64))
+    X = np.concatenate(blocks).T
     if add_intercept:
         X = _with_intercept(X)
     return Dataset(X, np.array(labels))

@@ -15,9 +15,18 @@ z = beta[s]' X[s], which differs from the full product by rounding only.  A
 reuses them while the support stays the same, with the same bits as a fresh
 gather.
 
+An l1 fit makes the gradient product cheaper too.  A ``GradientScreen``
+holder passed to ``gradient_from_margins`` proves, from the last full
+product, which coordinates of the gradient are below the l1 weight and so
+leave a zero coordinate zero after the soft-threshold; it computes only the
+other rows, one prefix of at most d/4 rows held in slack order.  The
+screened coordinates keep their stale values, which are below the weight
+too; every computed one differs from the full product by rounding only.
+
 ``loss_value`` and ``loss_gradient`` compose them and are bitwise equal to
 composing them by hand.  All functions are pure given immutable inputs and
-safe for concurrent use; a ``SupportRows`` holder belongs to one caller.
+safe for concurrent use; a ``SupportRows`` or ``GradientScreen`` holder
+belongs to one caller.
 """
 
 from __future__ import annotations
@@ -32,6 +41,7 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 __all__ = [
+    "GradientScreen",
     "SupportRows",
     "gradient_from_margins",
     "lipschitz_constant",
@@ -45,6 +55,11 @@ __all__ = [
 
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
 _FLOAT_TINY = float(np.finfo(np.float64).tiny)
+
+# A product counts as sparse when at most 1/_SPARSE_SHARE of the rows take
+# part: ``margins`` gathers up to d/4 support rows and a ``GradientScreen``
+# holds d/4 rows.
+_SPARSE_SHARE = 4
 
 
 def sigmoid(z):
@@ -76,6 +91,111 @@ class SupportRows:
         self.read = 0
 
 
+class GradientScreen:
+    """Safe screening of the l1 gradient X r: read only rows that can matter.
+
+    An l1 fit with weight ``lam`` passes one holder to every
+    ``gradient_from_margins`` call, after ``at`` has named the anchor, the
+    point whose gradient the call computes.  At a full product
+    g_ref = X r_ref the holder keeps r_ref, g_ref and the slack
+    s_j = (lam - |g_ref_j|) / ||x_j|| of every row.  At a later residual r,
+    Cauchy-Schwarz gives |g_j - g_ref_j| <= ||x_j|| ||r - r_ref||, so a row
+    with s_j > delta = ||r - r_ref|| has |g_j| < lam, and at a zero anchor
+    coordinate the soft-threshold returns exactly 0 whatever g_j is.  Such
+    a row is not read: it keeps its stale g_ref_j, also below lam, which the
+    line search only ever multiplies by an exact zero.
+
+    At each full product the holder gathers the d/4 rows of smallest slack,
+    sorted by slack, into one contiguous copy, so the rows a step must
+    compute are a prefix of them and cost one small product.  Every
+    coordinate nonzero in an anchor since that product must be computed
+    exactly: the prox reads those of the current anchor, and ISTA-BB's
+    curvature estimate <delta, v> those of the previous one.  So the prefix
+    is widened to cover every such coordinate.  When the prefix would take
+    every held row the call makes the full product and takes a new reference
+    there.  No reference is taken while the anchor alone has d/4 nonzeros or
+    more, nor from a non-finite gradient; each call then makes a full
+    product.
+
+    delta is inflated by gamma (||r|| + ||r_ref||) with gamma = 2 (n + 4) eps,
+    which bounds the rounding of the two n-term dot products behind g_ref_j
+    and behind the g_j a full product would compute, and that of delta and
+    the slack.  A zero row has infinite slack and is never read.  ``read``
+    counts the feature rows the products read: d for a full product and k
+    for a screened one of k rows.  The gather and the row norms, made once
+    per holder, are not counted, as the gather of ``SupportRows`` is not.  A
+    holder belongs to one fit on one dataset; the held rows take at most d/4
+    rows of X.
+    """
+
+    def __init__(self, lam: float):
+        self.lam = float(lam)
+        self.read = 0
+        self.support = np.empty(0, dtype=np.intp)  # the anchor's nonzeros
+        self.rows: np.ndarray | None = None        # held rows, by ascending slack
+        self._norms: np.ndarray | None = None
+
+    def at(self, anchor) -> GradientScreen:
+        """Name the anchor of the next gradient; returns the holder."""
+        self.support = np.flatnonzero(anchor)
+        return self
+
+    def product(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """X r at the anchor named by ``at``, screened when a reference allows."""
+        if self.rows is not None:
+            if self.support.size:
+                self._cover = max(self._cover, int(self._position[self.support].max()) + 1)
+            gamma = 2 * (r.size + 4) * _FLOAT_EPS
+            delta = (float(np.linalg.norm(r - self._r_ref))
+                     + gamma * (float(np.linalg.norm(r)) + self._r_ref_norm))
+            if math.isfinite(delta):
+                k = max(self._cover, int(np.searchsorted(self._slack, delta, side="right")))
+                if k < len(self.rows):
+                    g = self._g_ref.copy()
+                    g[self._index[:k]] = self.rows[:k] @ r
+                    self.read += k
+                    return g
+        g = X @ r
+        self.read += X.shape[0]
+        self._rebase(X, r, g)
+        return g
+
+    def _rebase(self, X: np.ndarray, r: np.ndarray, g: np.ndarray) -> None:
+        d = X.shape[0]
+        held = d // _SPARSE_SHARE
+        self.rows = None  # drop the old rows before gathering the new ones
+        if self.support.size >= held or not np.all(np.isfinite(g)):
+            return
+        if self._norms is None:
+            self._norms = _row_norms(X)
+        with np.errstate(divide="ignore"):
+            slack = (self.lam - np.abs(g)) / self._norms
+        slack[self.support] = -np.inf
+        index = np.argpartition(slack, held - 1)[:held]
+        index = index[np.argsort(slack[index], kind="stable")]
+        self._position = np.full(d, held)
+        self._position[index] = np.arange(held)
+        self._index, self._slack = index, slack[index]
+        self._g_ref, self._r_ref = g.copy(), r
+        self._r_ref_norm = float(np.linalg.norm(r))
+        self._cover = self.support.size
+        self.rows = X[index]
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """||x_j|| of every row, or inf where the sum of squares may have underflowed.
+
+    Below 2**-900 a sum of squares may have lost terms to underflow, so such
+    a row gets an infinite norm (zero slack, always read) unless it is
+    exactly zero.
+    """
+    sq = np.einsum("ij,ij->i", X, X)
+    norms = np.sqrt(sq)
+    small = np.flatnonzero(sq < 2.0 ** -900)
+    norms[small] = np.where(np.any(X[small], axis=1), np.inf, 0.0)
+    return norms
+
+
 def margins(beta, data: Dataset, rows: SupportRows | None = None) -> np.ndarray:
     """Margins z_i = x_i' beta of every sample: one product X' beta.
 
@@ -91,7 +211,7 @@ def margins(beta, data: Dataset, rows: SupportRows | None = None) -> np.ndarray:
         raise ValueError(
             f"coefficient vector has shape {beta.shape}, expected ({data.n_features},)")
     X = data.features
-    if 4 * np.count_nonzero(beta) > beta.size:
+    if _SPARSE_SHARE * np.count_nonzero(beta) > beta.size:
         if rows is not None:
             rows.read += beta.size
         return beta @ X
@@ -110,9 +230,19 @@ def loss_from_margins(z, data: Dataset) -> float:
     return float(np.sum(softplus(z) - data.labels * z))
 
 
-def gradient_from_margins(z, data: Dataset) -> np.ndarray:
-    """Gradient X (sigmoid(z) - y) of the negative log-likelihood at margins z."""
-    return data.features @ (sigmoid(z) - data.labels)
+def gradient_from_margins(z, data: Dataset,
+                          screen: GradientScreen | None = None) -> np.ndarray:
+    """Gradient X (sigmoid(z) - y) of the negative log-likelihood at margins z.
+
+    With a ``screen`` (l1 fits only) the product reads only the rows whose
+    coordinates can enter the support of the next soft-threshold step; the
+    others keep the values of the screen's last full product (see
+    ``GradientScreen``).  Either way it is one product.
+    """
+    r = sigmoid(z) - data.labels
+    if screen is None:
+        return data.features @ r
+    return screen.product(data.features, r)
 
 
 def loss_value(beta, data: Dataset) -> float:

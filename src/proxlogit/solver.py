@@ -33,10 +33,16 @@ of a point with at most a quarter of its coefficients nonzero reads only the
 feature rows of its support (see ``logistic.margins``).  Each fit keeps the
 last gathered rows in its own ``SupportRows`` holder and reuses them while
 the support stays the same, which it often does from one trial to the next.
-A gathered product still counts as one matvec; ``FitResult.feature_rows``
-counts the rows the products read.  The fit clock starts on entry to
-``fit``, so ``Trace.times`` includes the Lipschitz estimate and the other
-set-up.
+An l1 fit also screens its gradient products with its own
+``GradientScreen``: a product reads only the rows whose coordinates can
+become nonzero in the next soft-threshold step, as a sphere test around the
+last full product proves, and the other coordinates, which every candidate
+leaves at zero, keep their values from that product.  The nonconvex
+penalties always read every row, because their prox zero region is not
+|u| <= lam/L.  A gathered or screened product still counts as one matvec;
+``FitResult.feature_rows`` counts the rows the products read.  The fit clock
+starts on entry to ``fit``, so ``Trace.times`` includes the Lipschitz
+estimate and the other set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -53,8 +59,9 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .logistic import (SupportRows, gradient_from_margins, lipschitz_constant,
-                       loss_from_margins, loss_gradient, loss_value, margins)
+from .logistic import (GradientScreen, SupportRows, gradient_from_margins,
+                       lipschitz_constant, loss_from_margins, loss_gradient, loss_value,
+                       margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 if TYPE_CHECKING:
@@ -191,10 +198,11 @@ class FitResult:
     matrix (X' b or X r) the fit made, Lipschitz estimate excluded: 1 for the
     starting point plus, per iteration, 1 for the gradient and 1 per
     evaluated candidate.  A margin product that reads only the rows of a
-    sparse point's support counts as one too.  ``feature_rows`` is the number
-    of feature rows those products read, a machine-independent measure of
-    their cost: d per full product and |s| per product gathered on a
-    support s.
+    sparse point's support counts as one too, and so does an l1 gradient
+    product that reads only the rows its screen keeps.  ``feature_rows`` is
+    the number of feature rows those products read, a machine-independent
+    measure of their cost: d per full product, |s| per margin product
+    gathered on a support s and k per gradient product screened to k rows.
     """
 
     beta: np.ndarray
@@ -452,6 +460,13 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
     rows = SupportRows()  # this fit's gathered support rows, dropped on return
+    screen = GradientScreen(pen.lam) if pen.kind == L1 else None  # likewise
+
+    def gradient(z, anchor):
+        if screen is None:
+            return gradient_from_margins(z, data)
+        return gradient_from_margins(z, data, screen.at(anchor))
+
     z_beta = margins(beta, data, rows)  # carried with beta; the one product outside the loop
     matvecs = 1
     l_prev = loss_from_margins(z_beta, data)
@@ -468,7 +483,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
 
     for k in range(1, opts.max_iters + 1):
         if is_fista:
-            grad_w = gradient_from_margins(z_w, data)
+            grad_w = gradient(z_w, w)
             # The convex criterion never reads f_anchor, so w's penalty is skipped.
             out = _forward_search(w, loss_from_margins(z_w, data), None, grad_w, data, pen,
                                   L_carry, opts.eta, opts.max_backtracks,
@@ -482,7 +497,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
             t_momentum = t_next
             out = out._replace(step_sq=step_sq)
         else:
-            grad = gradient_from_margins(z_beta, data)
+            grad = gradient(z_beta, beta)
             if opts.variant == "ista_bb":
                 if bb_prev is None:
                     seed = L0
@@ -511,7 +526,9 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         if converged:
             break
 
-    # Every iteration made one full gradient product besides its margin products.
+    # Every iteration made one gradient product besides its margin products,
+    # a full one unless the screen read fewer rows.
+    gradient_rows = data.n_features * len(trace) if screen is None else screen.read
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
                      lipschitz=lip_cache.get("L"), matvecs=matvecs,
-                     feature_rows=rows.read + data.n_features * len(trace))
+                     feature_rows=rows.read + gradient_rows)

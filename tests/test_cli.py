@@ -163,15 +163,27 @@ class TestPath:
         code = main(["path", *SYNTH, "--out", out])
         assert code == EXIT_OK
         lines = read(os.path.join(out, "path.csv")).strip().split("\n")
-        assert lines[0] == "fraction,lambda,final_objective,iterations,nnz,time_s"
+        assert lines[0] == ("fraction,lambda,final_objective,iterations,nnz,time_s,"
+                            "matvecs,feature_rows")
         assert len(lines) == 1 + 10
         assert len([n for n in os.listdir(out) if n.startswith("coefficients_")]) == 10
+
+    def test_work_columns(self, tmp_path):
+        # d = 15: no product reads more than d rows, and each iteration makes
+        # a gradient product and at least one margin product
+        out = str(tmp_path / "run")
+        assert main(["path", *SYNTH, "--out", out]) == EXIT_OK
+        for line in read(os.path.join(out, "path.csv")).strip().split("\n")[1:]:
+            cells = line.split(",")
+            iterations, matvecs, feature_rows = int(cells[3]), int(cells[6]), int(cells[7])
+            assert matvecs > 2 * iterations
+            assert 0 < feature_rows <= 15 * matvecs
 
     def test_exact_lambda_max_row_is_empty_model(self, tmp_path):
         out = str(tmp_path / "run")
         assert main(["path", *SYNTH, "--fractions", "1.0", "--out", out]) == EXIT_OK
         lines = read(os.path.join(out, "path.csv")).strip().split("\n")
-        frac, lam, fobj, iters, nnz, _ = lines[1].split(",")
+        frac, lam, fobj, iters, nnz, *_ = lines[1].split(",")
         assert frac == "1"
         assert nnz == "0"
 

@@ -4,6 +4,7 @@ import pytest
 from proxlogit import (
     DataError,
     Dataset,
+    Penalty,
     SyntheticSpec,
     generate_synthetic,
     load_csv,
@@ -87,6 +88,91 @@ class TestLoadCsv:
         ds = load_csv(p, label_column=1, add_intercept=True)
         assert ds.n_features == 2
         np.testing.assert_array_equal(ds.features[1], [1.0, 1.0])
+
+    @pytest.mark.parametrize("text, label_column, message", [
+        # the first bad cell of a line is named, the label column too
+        ("1,2,1\n3,x,y\n", 2, "line 2, column 2: non-numeric cell 'x'"),
+        ("1,2,1\n3,4, y \n", 2, "line 2, column 3: non-numeric cell 'y'"),
+        # a bad cell is reported before a bad label on the same line
+        ("1,x,7\n", 2, "line 1, column 2: non-numeric cell 'x'"),
+        # the first faulty line wins, whatever its fault
+        ("1,2,1\n1,2,5\n3,x,0\n", 2, "line 2, column 3: label 5.0 not in"),
+        ("1,2,1\n1,x,1\n3,0\n", 2, "line 2, column 2: non-numeric cell 'x'"),
+        ("1,2,1\n3,0\n1,x,1\n", 2, "row at line 2: expected 3 cells, got 2"),
+        ("2,1\n", 0, "line 1, column 1: label 2.0 not in"),
+    ])
+    def test_first_fault_reported(self, tmp_path, text, label_column, message):
+        p = write(tmp_path / "a.csv", text)
+        with pytest.raises(DataError) as info:
+            load_csv(p, label_column=label_column)
+        assert str(info.value).startswith(message)
+
+    @pytest.mark.parametrize("n_rows", [1, 127, 128, 129, 300])
+    def test_rows_across_parse_blocks(self, tmp_path, n_rows):
+        # the parser converts rows to an array in blocks; every row survives
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 4))
+        table[:, 1] = rng.integers(0, 2, size=n_rows)
+        p = tmp_path / "a.csv"
+        np.savetxt(p, table, fmt="%.17g", delimiter=",")
+        ds = load_csv(str(p), label_column=1)
+        np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
+        np.testing.assert_array_equal(ds.labels, table[:, 1])
+
+    def test_label_column_anywhere(self, tmp_path):
+        p = write(tmp_path / "a.csv", "1,0.5,2\n-1,1.5,3\n")
+        ds = load_csv(p, label_column=0)
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [2.0, 3.0]])
+        np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
+
+
+def assert_row_major_read_only(ds):
+    assert ds.features.flags.c_contiguous
+    assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+
+class TestRowMajorFeatures:
+    """Every way to build a dataset gives C-ordered, read-only features."""
+
+    def test_from_fortran_ordered_input(self):
+        X = np.asfortranarray(np.arange(6.0).reshape(2, 3))
+        ds = Dataset(X, np.array([1.0, 0.0, 1.0]))
+        assert_row_major_read_only(ds)
+        np.testing.assert_array_equal(ds.features, X)
+
+    def test_loaders_and_generator(self, tmp_path):
+        csv = write(tmp_path / "a.csv", "1.0,2.0,1\n0.5,1.5,0\n2.0,0.0,1\n")
+        svm = write(tmp_path / "a.svm", "+1 1:0.5 3:2.0\n0 2:1.0\n")
+        spec = SyntheticSpec(n_samples=20, n_features=6, n_nonzero=2, seed=3)
+        for ds in (load_csv(csv, label_column=2),
+                   load_csv(csv, label_column=2, add_intercept=True),
+                   load_libsvm(svm), load_libsvm(svm, add_intercept=True),
+                   generate_synthetic(spec)[0]):
+            assert_row_major_read_only(ds)
+
+    def test_cross_validation_folds(self, monkeypatch):
+        from proxlogit import path
+
+        seen = []
+        real_run_path, real_accuracy = path.run_path, path.accuracy
+
+        def recording_run_path(data, spec):
+            seen.append(data)
+            return real_run_path(data, spec)
+
+        def recording_accuracy(beta, data):
+            seen.append(data)
+            return real_accuracy(beta, data)
+
+        monkeypatch.setattr(path, "run_path", recording_run_path)
+        monkeypatch.setattr(path, "accuracy", recording_accuracy)
+        data, _ = generate_synthetic(SyntheticSpec(n_samples=40, n_features=6, n_nonzero=2,
+                                                   seed=4))
+        spec = path.PathSpec(Penalty.l1(1.0), fractions=(0.5,))
+        path.cross_validate(data, spec, k=3)
+        assert len(seen) == 6  # a training and a test set per fold
+        for ds in seen:
+            assert_row_major_read_only(ds)
 
 
 class TestLoadLibsvm:

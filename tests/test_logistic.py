@@ -6,7 +6,9 @@ from hypothesis import given, strategies as st
 
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
 from proxlogit.logistic import (
+    GradientScreen,
     SupportRows,
+    _row_norms,
     _top_eigenvalue,
     gradient_from_margins,
     loss_from_margins,
@@ -199,6 +201,67 @@ class TestGatheredMargins:
                                               margins(beta, data).view(np.uint64))
                 read += len(support) if 4 * len(support) <= data.n_features else data.n_features
                 assert rows.read == read
+
+
+class TestGradientScreen:
+    @staticmethod
+    def referenced(lam, d=40, n=30, seed=40):
+        """A screen that has taken its reference at a zero anchor, with X and r."""
+        rng = np.random.default_rng(seed)
+        X, r = rng.normal(size=(d, n)), rng.uniform(-0.5, 0.5, size=n)
+        screen = GradientScreen(lam).at(np.zeros(d))
+        np.testing.assert_array_equal(screen.product(X, r), X @ r)
+        assert screen.read == d and screen.rows.shape == (d // 4, n)
+        return screen, X, r
+
+    def test_row_within_rounding_of_lam_is_read(self):
+        # The top row's slack is a few ulps: positive, but within the rounding
+        # a full product could make, so the same residual must still read it.
+        d = 40
+        rng = np.random.default_rng(40)
+        g = rng.normal(size=(d, 30)) @ rng.uniform(-0.5, 0.5, size=30)
+        top = int(np.argmax(np.abs(g)))
+        screen, X, r = self.referenced(abs(g[top]) * (1 + 8 * np.finfo(float).eps))
+        out = screen.product(X, r.copy())
+        assert screen.read == d + 1
+        assert out[top] == pytest.approx(g[top], rel=1e-14)
+
+    def test_far_residual_takes_full_product(self):
+        screen, X, r = self.referenced(lam=1e3)
+        near = r + 1e-9  # every slack exceeds delta: nothing to read
+        np.testing.assert_array_equal(screen.product(X, near), X @ r)
+        assert screen.read == 40
+        far = 1e4 * r  # every held row is within reach: the full product
+        np.testing.assert_array_equal(screen.product(X, far), X @ far)
+        assert screen.read == 80
+
+    def test_non_finite_residual_takes_full_product(self):
+        screen, X, r = self.referenced(lam=1.0)
+        r[0] = np.nan
+        out = screen.product(X, r)
+        assert screen.read == 2 * 40
+        assert np.all(np.isnan(out)) and screen.rows is None
+
+    def test_dense_anchor_takes_no_reference(self):
+        rng = np.random.default_rng(41)
+        X, r = rng.normal(size=(40, 30)), rng.uniform(-0.5, 0.5, size=30)
+        anchor = np.zeros(40)
+        anchor[:10] = 1.0  # a quarter of the coordinates
+        screen = GradientScreen(1e6).at(anchor)
+        for i in range(3):
+            np.testing.assert_array_equal(screen.product(X, r), X @ r)
+            assert screen.read == 40 * (i + 1) and screen.rows is None
+
+    def test_anchor_outside_held_rows_takes_full_product(self):
+        screen, X, r = self.referenced(lam=1e6)  # every slack is huge
+        anchor = np.zeros(40)
+        anchor[np.setdiff1d(np.arange(40), screen._index)[0]] = 1.0
+        np.testing.assert_array_equal(screen.at(anchor).product(X, r), X @ r)
+        assert screen.read == 2 * 40
+
+    def test_row_norms_guard_underflow(self):
+        X = np.array([[3.0, 4.0], [0.0, 0.0], [1e-170, 0.0], [0.0, -1e-300]])
+        np.testing.assert_array_equal(_row_norms(X), [5.0, 0.0, np.inf, np.inf])
 
 
 class TestLipschitzConstant:

@@ -3,6 +3,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxlogit import (
     KINDS,
@@ -25,6 +26,7 @@ from proxlogit import (
     prox_vector,
     q_upper,
     reverse_search,
+    sigmoid,
 )
 from proxlogit import solver
 from proxlogit.logistic import margins
@@ -577,49 +579,141 @@ class TestMatvecs:
 def record_products(monkeypatch, d):
     """Patch the kernels ``fit`` calls; return the feature rows each product reads.
 
-    A margin product reads the k rows of its support when 4 k <= d, else all d;
-    a gradient product reads all d.
+    Returns two lists, one entry per margin product and one per gradient
+    product.  A margin product reads the k rows of its support when 4 k <= d,
+    else all d; a gradient product reads all d, or, through a screen, the rows
+    the screen's ``read`` count grew by.
     """
-    rows = []
+    margin_rows, gradient_rows = [], []
     real_margins, real_gradient = solver.margins, solver.gradient_from_margins
 
     def recording_margins(beta, *args, **kwargs):
         k = np.count_nonzero(beta)
-        rows.append(k if 4 * k <= d else d)
+        margin_rows.append(k if 4 * k <= d else d)
         return real_margins(beta, *args, **kwargs)
 
-    def recording_gradient(*args, **kwargs):
-        rows.append(d)
-        return real_gradient(*args, **kwargs)
+    def recording_gradient(z, data, screen=None):
+        if screen is None:
+            gradient_rows.append(d)
+            return real_gradient(z, data)
+        before = screen.read
+        g = real_gradient(z, data, screen)
+        gradient_rows.append(screen.read - before)
+        return g
 
     monkeypatch.setattr(solver, "margins", recording_margins)
     monkeypatch.setattr(solver, "gradient_from_margins", recording_gradient)
-    return rows
+    return margin_rows, gradient_rows
 
 
 class TestFeatureRows:
     @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
     def test_counts_rows_of_every_product(self, small_data, variant, kind, monkeypatch):
-        rows = record_products(monkeypatch, small_data.n_features)
+        margin_rows, gradient_rows = record_products(monkeypatch, small_data.n_features)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
-        assert res.matvecs == len(rows)
-        assert res.feature_rows == sum(rows)
+        assert res.matvecs == len(margin_rows) + len(gradient_rows)
+        assert res.feature_rows == sum(margin_rows) + sum(gradient_rows)
 
     @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip", "ista_reverse"])
     def test_sparse_wide_fit_gathers(self, variant, monkeypatch):
-        # d > n at 0.3 lambda_max: most margin products read only the support rows
+        # d > n at 0.3 lambda_max: most margin products read only the support
+        # rows, and most gradient products only the rows the screen keeps
         data = make_dataset(seed=92, d=200, n=60)
         d = data.n_features
-        rows = record_products(monkeypatch, d)
+        margin_rows, gradient_rows = record_products(monkeypatch, d)
         pen = Penalty.l1(0.3 * lambda_max(data))
         res = fit(data, pen, SolverOptions(variant=variant))
         assert res.converged
-        # one gradient per iteration; at least half the margin products gather
-        gathered = sum(1 for r in rows if r < d)
-        assert 2 * gathered >= len(rows) - res.n_iterations > 0
-        assert res.matvecs == len(rows)
-        assert res.feature_rows == sum(rows) < d * res.matvecs
+        assert len(gradient_rows) == res.n_iterations
+        gathered = sum(1 for r in margin_rows if r < d)
+        assert 2 * gathered >= len(margin_rows) > 0
+        screened = sum(1 for r in gradient_rows if r < d)
+        assert 2 * screened >= len(gradient_rows) > 0
+        assert res.matvecs == len(margin_rows) + len(gradient_rows)
+        assert res.feature_rows == sum(margin_rows) + sum(gradient_rows) < d * res.matvecs
+        assert res.final_objective == objective(res.beta, data, pen)
+
+    @pytest.mark.parametrize("kind", ["scad", "mcp", "capped_l1"])
+    @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse"])
+    def test_nonconvex_gradients_read_every_row(self, kind, variant, monkeypatch):
+        data = make_dataset(seed=92, d=200, n=60)
+        d = data.n_features
+        margin_rows, gradient_rows = record_products(monkeypatch, d)
+        res = fit(data, penalty_of(kind, 0.3 * lambda_max(data)),
+                  SolverOptions(variant=variant, max_iters=300))
+        assert len(gradient_rows) == res.n_iterations > 0
+        assert res.feature_rows == sum(margin_rows) + d * res.n_iterations
+
+
+def check_screened_gradients(monkeypatch, lam):
+    """Patch ``solver.gradient_from_margins`` to check every screened gradient.
+
+    Beside each call the full product X (sigmoid(z) - y) is computed.  A
+    coordinate of a screened gradient that is bitwise the value of the last
+    full product is stale: the full product there must be below ``lam`` and
+    the anchor zero.  Every other coordinate must match the full product
+    within 1e-12 (|X| @ |r|), and there can be no more of them than rows
+    read.  Returns the rows each call read.
+    """
+    rows = []
+    reference = []
+    real = solver.gradient_from_margins
+
+    def checking(z, data, screen=None):
+        assert screen is not None
+        before = screen.read
+        g = real(z, data, screen)
+        k = screen.read - before
+        X = data.features
+        r = sigmoid(z) - data.labels
+        full = X @ r
+        if k == data.n_features:
+            np.testing.assert_array_equal(g, full)
+            reference[:] = [g.copy()]
+        else:
+            stale = g == reference[0]
+            assert np.all(np.abs(full[stale]) < lam)
+            assert not np.any(stale[screen.support])
+            fresh = ~stale
+            bound = 1e-12 * (np.abs(X) @ np.abs(r))
+            assert np.all(np.abs(g[fresh] - full[fresh]) <= bound[fresh])
+            assert np.count_nonzero(fresh) <= k
+        rows.append(k)
+        return g
+
+    monkeypatch.setattr(solver, "gradient_from_margins", checking)
+    return rows
+
+
+class TestGradientScreen:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("fraction", [0.1, 0.3])
+    def test_screened_gradients_match_full_products(self, variant, fraction, monkeypatch):
+        data = make_dataset(seed=93, d=200, n=60)
+        pen = Penalty.l1(fraction * lambda_max(data))
+        rows = check_screened_gradients(monkeypatch, pen.lam)
+        res = fit(data, pen, SolverOptions(variant=variant))
+        assert res.converged
+        assert len(rows) == res.n_iterations
+        assert sum(1 for k in rows if k < data.n_features) > 0
+
+    @given(st.integers(8, 60), st.integers(2, 30), st.floats(0.05, 0.95),
+           st.sampled_from(["ista_bb", "fista_lip"]), st.data())
+    @settings(max_examples=40)
+    def test_screen_is_safe_at_any_scale(self, d, n, fraction, variant, draw):
+        # rows scaled by 10**u for u in [-3, 3], and one zero row
+        seed = draw.draw(st.integers(0, 2 ** 32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, 1))
+        X[rng.integers(d)] = 0.0
+        y = np.arange(n) % 2.0
+        data = Dataset(X, y)
+        pen = Penalty.l1(fraction * lambda_max(data))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            check_screened_gradients(monkeypatch, pen.lam)
+            res = fit(data, pen, SolverOptions(variant=variant, max_iters=500))
+        assert np.all(np.isfinite(res.beta))
         assert res.final_objective == objective(res.beta, data, pen)
 
 
