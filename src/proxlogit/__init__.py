@@ -42,8 +42,6 @@ from .penalties import (
     SCAD,
     Penalty,
     penalty_value,
-    prox_oracle,
-    prox_scalar,
     prox_vector,
 )
 from .solver import (

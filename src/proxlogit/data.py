@@ -9,10 +9,11 @@ mapped -1 -> 0, +1 -> 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
-from .logistic import sigmoid
+from .logistic import _row_norms, sigmoid
 
 __all__ = [
     "DataError",
@@ -38,6 +39,8 @@ class Dataset:
     read-only, so instances are safe to share across concurrent solver runs.
     The features are copied in C order, whatever the input's layout, so each
     feature row is contiguous and a gather of rows reads whole rows.
+    ``feature_norms`` is computed on first use and then kept with the
+    instance.
     """
 
     features: np.ndarray
@@ -66,6 +69,16 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def feature_norms(self) -> np.ndarray:
+        """Read-only ||x_j|| of every feature row, inf where it may have underflowed.
+
+        Computed once per dataset, for the gradient screens of l1 fits.
+        """
+        norms = _row_norms(self.features)
+        norms.setflags(write=False)
+        return norms
 
 
 @dataclasses.dataclass(frozen=True)

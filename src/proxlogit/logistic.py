@@ -23,6 +23,12 @@ other rows, one prefix of at most d/4 rows held in slack order.  The
 screened coordinates keep their stale values, which are below the weight
 too; every computed one differs from the full product by rounding only.
 
+``margins`` and ``loss_from_margins`` also take a leading block axis: a
+(K, d) block of coefficient rows gives (K, n) margins from one product, and
+(K, n) margins give the K row losses, each equal bitwise to the one-row call
+on the same margins.  The product of a block rounds differently from K
+one-row products, by rounding only.
+
 ``loss_value`` and ``loss_gradient`` compose them and are bitwise equal to
 composing them by hand.  All functions are pure given immutable inputs and
 safe for concurrent use; a ``SupportRows`` or ``GradientScreen`` holder
@@ -122,18 +128,19 @@ class GradientScreen:
     and behind the g_j a full product would compute, and that of delta and
     the slack.  A zero row has infinite slack and is never read.  ``read``
     counts the feature rows the products read: d for a full product and k
-    for a screened one of k rows.  The gather and the row norms, made once
-    per holder, are not counted, as the gather of ``SupportRows`` is not.  A
-    holder belongs to one fit on one dataset; the held rows take at most d/4
-    rows of X.
+    for a screened one of k rows.  The gather is not counted, as the gather
+    of ``SupportRows`` is not.  ``norms`` are the row norms ||x_j|| of X,
+    which ``Dataset.feature_norms`` computes once per dataset.  A holder
+    belongs to one fit on one dataset; the held rows take at most d/4 rows
+    of X.
     """
 
-    def __init__(self, lam: float):
+    def __init__(self, lam: float, norms: np.ndarray):
         self.lam = float(lam)
         self.read = 0
         self.support = np.empty(0, dtype=np.intp)  # the anchor's nonzeros
         self.rows: np.ndarray | None = None        # held rows, by ascending slack
-        self._norms: np.ndarray | None = None
+        self._norms = norms
 
     def at(self, anchor) -> GradientScreen:
         """Name the anchor of the next gradient; returns the holder."""
@@ -166,8 +173,6 @@ class GradientScreen:
         self.rows = None  # drop the old rows before gathering the new ones
         if self.support.size >= held or not np.all(np.isfinite(g)):
             return
-        if self._norms is None:
-            self._norms = _row_norms(X)
         with np.errstate(divide="ignore"):
             slack = (self.lam - np.abs(g)) / self._norms
         slack[self.support] = -np.inf
@@ -205,29 +210,42 @@ def margins(beta, data: Dataset, rows: SupportRows | None = None) -> np.ndarray:
     and an all-zero beta gives exact +0.0.  Below a quarter the gather and
     the smaller product cost less than the full product.  ``rows`` holds the
     gathered rows for reuse by the next product on the same support.
+
+    A (K, d) block of coefficient rows gives the (K, n) margins of every row
+    from one product, on the union support of the rows when it is at most a
+    quarter of d; it reads K rows of X for each one it takes part in.
     """
     beta = np.asarray(beta, dtype=np.float64)
-    if beta.shape != (data.n_features,):
+    d = data.n_features
+    if beta.ndim not in (1, 2) or beta.shape[-1] != d:
         raise ValueError(
-            f"coefficient vector has shape {beta.shape}, expected ({data.n_features},)")
+            f"coefficient vector has shape {beta.shape}, expected ({d},) or (K, {d})")
     X = data.features
-    if _SPARSE_SHARE * np.count_nonzero(beta) > beta.size:
+    block = beta.ndim == 2
+    nonzero = beta.any(axis=0) if block else beta
+    if _SPARSE_SHARE * np.count_nonzero(nonzero) > d:
         if rows is not None:
             rows.read += beta.size
         return beta @ X
-    s = np.flatnonzero(beta)
+    s = np.flatnonzero(nonzero)
+    coefficients = beta[:, s] if block else beta[s]
     if rows is None:
-        return beta[s] @ X[s]
-    rows.read += s.size
+        return coefficients @ X[s]
+    rows.read += coefficients.size
     if rows.support is None or not np.array_equal(s, rows.support):
         rows.rows = None  # drop the old rows before gathering the new ones
         rows.support, rows.rows = s, X[s]
-    return beta[s] @ rows.rows
+    return coefficients @ rows.rows
 
 
-def loss_from_margins(z, data: Dataset) -> float:
-    """Negative log-likelihood sum_i [softplus(z_i) - y_i z_i] at margins z; always >= 0."""
-    return float(np.sum(softplus(z) - data.labels * z))
+def loss_from_margins(z, data: Dataset) -> float | np.ndarray:
+    """Negative log-likelihood sum_i [softplus(z_i) - y_i z_i] at margins z; always >= 0.
+
+    (K, n) margins give the array of the K row losses.
+    """
+    terms = softplus(z) - data.labels * z
+    total = terms.sum(axis=-1)
+    return total if terms.ndim > 1 else float(total)
 
 
 def gradient_from_margins(z, data: Dataset,

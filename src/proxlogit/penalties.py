@@ -16,8 +16,15 @@ region) and the best point of the flat outer region, max(t, boundary).  The
 candidate of smaller prox objective wins; a tie goes to the smaller
 magnitude.  Every formula repeats the arithmetic of an exhaustive enumeration
 of branch stationary points and region boundaries, so the result equals it
-bitwise away from region boundaries.  A brute-force grid oracle is included
-for verification.
+bitwise away from region boundaries.
+
+Both maps also take a leading block axis: ``prox_vector(U, pen, Ls)`` with U
+of shape (K, d) and a (K, 1) column of scales Ls, and ``penalty_value(B,
+pen)`` with B of shape (K, d), which returns the K row totals.  Row i of a
+block result equals the one-row call on U[i] and Ls[i] bit for bit; the
+branch between the convex and the concave prox regime is taken per row,
+because a block of scales can cross 1/theta or 1/(theta - 1).  A reverse
+line search evaluates a ladder of step scales this way in one call.
 """
 
 from __future__ import annotations
@@ -34,8 +41,6 @@ __all__ = [
     "Penalty",
     "SCAD",
     "penalty_value",
-    "prox_oracle",
-    "prox_scalar",
     "prox_vector",
 ]
 
@@ -115,13 +120,22 @@ def _g_abs(a: np.ndarray, pen: Penalty) -> np.ndarray:
     return np.where(a <= th * lam, lam * a - a ** 2 / (2.0 * th), th * lam ** 2 / 2.0)
 
 
-def penalty_value(beta, pen: Penalty) -> float:
-    """Total penalty sum_i g(beta_i); nonnegative, zero at the origin."""
+def penalty_value(beta, pen: Penalty) -> float | np.ndarray:
+    """Total penalty sum_i g(beta_i); nonnegative, zero at the origin.
+
+    A (K, d) block gives the array of its K row totals.
+    """
     a = np.abs(np.asarray(beta, dtype=np.float64))
-    return float(np.sum(_g_abs(a, pen)))
+    total = _g_abs(a, pen).sum(axis=-1)
+    return total if a.ndim > 1 else float(total)
 
 
-def _check_L(L: float) -> float:
+def _check_L(L):
+    """A positive float scale, or a block's column of positive scales."""
+    if isinstance(L, np.ndarray) and L.ndim:
+        if not (L > 0).all():
+            raise ValueError(f"prox scales L must be positive, got {L.ravel()}")
+        return L
     L = float(L)
     if not L > 0:
         raise ValueError(f"prox scale L must be positive, got {L}")
@@ -139,7 +153,26 @@ def _pick(a: np.ndarray, b: np.ndarray, t: np.ndarray, pen: Penalty, L: float) -
     return np.where(fa <= fb, a, b)
 
 
-def _prox_magnitudes(t: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
+def _by_regime(convex, t: np.ndarray, L, convex_map, concave_map) -> np.ndarray:
+    """``convex_map(t, L)`` where ``convex`` holds, ``concave_map(t, L)`` elsewhere.
+
+    ``convex`` is one flag for a float L, or a (K, 1) column of flags for a
+    block, which is then split by rows.
+    """
+    if isinstance(convex, bool):
+        return convex_map(t, L) if convex else concave_map(t, L)
+    rows = convex[:, 0]
+    if rows.all():
+        return convex_map(t, L)
+    if not rows.any():
+        return concave_map(t, L)
+    out = np.empty_like(t)
+    out[rows] = convex_map(t[rows], L[rows])
+    out[~rows] = concave_map(t[~rows], L[~rows])
+    return out
+
+
+def _prox_magnitudes(t: np.ndarray, pen: Penalty, L) -> np.ndarray:
     """Prox of nonnegative magnitudes t; the result is also nonnegative."""
     lam = pen.lam
     if pen.kind == L1:
@@ -150,46 +183,41 @@ def _prox_magnitudes(t: np.ndarray, pen: Penalty, L: float) -> np.ndarray:
                      t, pen, L)
     th = pen.theta
     if pen.kind == MCP:
-        denom = L - 1.0 / th
-        if denom > _DEGENERATE:
-            # Firm threshold: the stationary point exceeds t exactly when
-            # t > theta lam, so clipping it to [0, t] also keeps t there.
-            return np.minimum(np.maximum((L * t - lam) / denom, 0.0), t)
-        return _pick(np.zeros_like(t), np.maximum(t, th * lam), t, pen, L)
+        def firm(t, L):
+            # The stationary point exceeds t exactly when t > theta lam, so
+            # clipping it to [0, t] also keeps t there.
+            return np.minimum(np.maximum((L * t - lam) / (L - 1.0 / th), 0.0), t)
+
+        def concave(t, L):
+            return _pick(np.zeros_like(t), np.maximum(t, th * lam), t, pen, L)
+
+        return _by_regime(L - 1.0 / th > _DEGENERATE, t, L, firm, concave)
+
     # SCAD
-    soft = np.minimum(np.maximum(t - lam / L, 0.0), lam)
-    denom = L * (th - 1.0) - 1.0
-    if denom > _DEGENERATE:
+    def soft(t, L):
+        return np.minimum(np.maximum(t - lam / L, 0.0), lam)
+
+    def three_region(t, L):
         # As for MCP, the middle stationary point clipped to [lam, t] is
         # also t beyond theta lam.
-        mid = np.minimum(np.maximum((L * (th - 1.0) * t - th * lam) / denom, lam), t)
-        return np.where(t <= lam + lam / L, soft, mid)
-    return _pick(soft, np.maximum(t, th * lam), t, pen, L)
+        mid = np.minimum(np.maximum((L * (th - 1.0) * t - th * lam)
+                                    / (L * (th - 1.0) - 1.0), lam), t)
+        return np.where(t <= lam + lam / L, soft(t, L), mid)
+
+    def concave(t, L):
+        return _pick(soft(t, L), np.maximum(t, th * lam), t, pen, L)
+
+    return _by_regime(L * (th - 1.0) - 1.0 > _DEGENERATE, t, L, three_region, concave)
 
 
-def prox_vector(u, pen: Penalty, L: float) -> np.ndarray:
-    """Coordinatewise proximal map of u at scale L."""
+def prox_vector(u, pen: Penalty, L) -> np.ndarray:
+    """Coordinatewise proximal map of u at scale L.
+
+    ``L`` is a positive float, or a (K, 1) column of scales for a (K, d)
+    block u, whose row i is mapped at scale L[i].
+    """
     L = _check_L(L)
     u = np.asarray(u, dtype=np.float64)
     w = _prox_magnitudes(np.abs(u), pen, L)
     # Adding +0.0 turns -0.0 into +0.0 and leaves every other value alone.
     return np.copysign(w, u) + 0.0
-
-
-def prox_scalar(t: float, pen: Penalty, L: float) -> float:
-    """Proximal map of a single coordinate; sign-symmetric in t."""
-    return float(prox_vector(np.array([t]), pen, L)[0])
-
-
-def prox_oracle(t: float, pen: Penalty, L: float, grid_step: float = 1e-4) -> float:
-    """Exhaustive grid minimization of the prox objective over [-|t|-1, |t|+1].
-
-    Verification-only; accurate to roughly the grid step.
-    """
-    L = _check_L(L)
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
-    hi = abs(float(t)) + 1.0
-    grid = np.arange(-hi, hi + grid_step, grid_step)
-    obj = 0.5 * L * (grid - t) ** 2 + _g_abs(np.abs(grid), pen)
-    return float(grid[int(np.argmin(obj))])

@@ -6,7 +6,8 @@ Five solver variants share one machinery:
                       Barzilai-Borwein curvature estimate, then backtracks.
 * ``ista_reverse``  - proximal gradient; every iteration starts from the
                       Lipschitz step and *enlarges* it until the line-search
-                      criterion breaks, keeping the last accepted step.
+                      criterion breaks, keeping the last accepted step; the
+                      ladder of steps is evaluated in blocks of six.
 * ``fista_lip``     - accelerated proximal gradient with Nesterov momentum,
                       seeded at the Lipschitz constant; the step scale L is
                       monotone nondecreasing across iterations (l1 only).
@@ -28,7 +29,15 @@ product.  FISTA's extrapolated point w = c + m (c - c_prev) gets its margins
 by linearity, z_w = z_c + m (z_c - z_prev), at no product.  A fit therefore
 makes one product for the starting point plus, per iteration, one for the
 gradient and one per evaluated candidate; ``FitResult.matvecs`` reports the
-total, leaving out the products of the Lipschitz estimate.  A margin product
+total, leaving out the products of the Lipschitz estimate.  The reverse
+search evaluates its ladder of scales L0, L0/eta, ... in blocks of
+``_BLOCK`` = 6 candidates, each with one prox over a (6, d) block, one
+(6, d) by (d, n) product and one loss: per-call overhead dominates
+one-candidate kernels at the sizes of a typical fit.  Each row of a block
+counts as one evaluated candidate.  A block product rounds differently from
+a one-row product, so iterates differ from a one-at-a-time scan by rounding,
+and a reverse fit recomputes the objective of the coefficients it returns
+with one-row kernels, for one more product.  A margin product
 of a point with at most a quarter of its coefficients nonzero reads only the
 feature rows of its support (see ``logistic.margins``).  Each fit keeps the
 last gathered rows in its own ``SupportRows`` holder and reuses them while
@@ -197,7 +206,10 @@ class FitResult:
     the estimate.  ``matvecs`` is the number of products with the feature
     matrix (X' b or X r) the fit made, Lipschitz estimate excluded: 1 for the
     starting point plus, per iteration, 1 for the gradient and 1 per
-    evaluated candidate.  A margin product that reads only the rows of a
+    evaluated candidate.  An ``ista_reverse`` search evaluates blocks of 6
+    candidates, each row counting as one, and a reverse fit of at least one
+    iteration adds 1 for recomputing ``final_objective`` with one-row
+    kernels.  A margin product that reads only the rows of a
     sparse point's support counts as one too, and so does an l1 gradient
     product that reads only the rows its screen keeps.  ``feature_rows`` is
     the number of feature rows those products read, a machine-independent
@@ -286,14 +298,33 @@ class _SearchOutcome(NamedTuple):
     objective: float
     step_sq: float
 
+    def row(self, i: int) -> _SearchOutcome:
+        """The one-candidate outcome of row i of a block outcome.
+
+        The candidate is copied out of the block, so a fit's coefficients do
+        not keep the whole block alive.
+        """
+        return _SearchOutcome(float(self.L[i]), self.candidate[i].copy(), self.margins[i],
+                              self.trials, self.evaluations, float(self.loss[i]),
+                              float(self.objective[i]), float(self.step_sq[i]))
+
+
+# A reverse search evaluates its ladder of step scales this many at a time.
+_BLOCK = 6
+
 
 def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                   sufficient_decrease: bool, rows=None) -> tuple[bool, _SearchOutcome]:
+                   sufficient_decrease: bool, rows=None):
     """Evaluate the proximal candidate at scale L with one product X' candidate.
 
+    ``L`` is a float, or a (K, 1) column of scales for a block of K
+    candidates, evaluated with one prox, one product and one loss over the
+    block; ``ok`` and the outcome's fields other than ``trials`` and
+    ``evaluations`` then hold one entry per row (see ``_SearchOutcome.row``).
     ``f_anchor`` is read only by the sufficient-decrease criterion; ``rows``
     is the caller's ``SupportRows`` holder, if any.  The outcome counts as
-    the first trial; searches set ``trials`` and ``evaluations``.
+    the first trial and as K evaluations; searches set ``trials`` and
+    ``evaluations``.
     """
     cand = prox_vector(anchor - grad_anchor / L, pen, L)
     z_cand = margins(cand, data, rows)
@@ -301,13 +332,17 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
     pen_cand = penalty_value(cand, pen)
     f_cand = l_cand + pen_cand
     diff = cand - anchor
-    step_sq = float(diff @ diff)
+    if diff.ndim == 1:
+        step_sq, evaluations = float(diff @ diff), 1
+    else:
+        L = L[:, 0]
+        step_sq, evaluations = np.einsum("ij,ij->i", diff, diff), L.size
     if sufficient_decrease:
         ok = f_cand <= f_anchor - 0.5 * L * step_sq
     else:
-        model = l_anchor + float(diff @ grad_anchor) + 0.5 * L * step_sq + pen_cand
+        model = l_anchor + diff @ grad_anchor + 0.5 * L * step_sq + pen_cand
         ok = f_cand <= model
-    return ok, _SearchOutcome(L, cand, z_cand, 0, 1, l_cand, f_cand, step_sq)
+    return ok, _SearchOutcome(L, cand, z_cand, 0, evaluations, l_cand, f_cand, step_sq)
 
 
 def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
@@ -333,21 +368,33 @@ def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
 def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L0, eta, max_expansions, max_backtracks,
                     sufficient_decrease, rows=None) -> _SearchOutcome:
-    accepted: _SearchOutcome | None = None
-    for i in range(max_expansions):
-        ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                                 L0 / eta ** i, sufficient_decrease, rows)
-        if ok:
-            accepted = out._replace(trials=i)
-            continue
-        if accepted is None:
+    """Shrink L from ``L0`` by ``eta`` while candidates pass; keep the last passing one.
+
+    The ladder L0 / eta**i, i < ``max_expansions``, is evaluated in blocks of
+    ``_BLOCK`` scales.  The search accepts the scale before the first failing
+    one, as a scan one scale at a time would, or the last scale when none
+    fails; the rows of a block past the first failure are evaluated too and
+    count in ``evaluations``.  ``trials`` is the index of the accepted scale.
+    """
+    for start in range(0, max_expansions, _BLOCK):
+        scales = np.array([L0 / eta ** i
+                           for i in range(start, min(start + _BLOCK, max_expansions))])
+        ok, block = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
+                                   scales[:, np.newaxis], sufficient_decrease, rows)
+        failed = np.flatnonzero(~ok)
+        if start == 0 and failed.size and failed[0] == 0:
             # The base step already violates (possible under sufficient
             # decrease); grow forward from the rejected L0 instead.
-            return _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
-                                   pen, L0 * eta, eta, max_backtracks,
-                                   sufficient_decrease, tried=1, rows=rows)
-        break
-    return accepted._replace(evaluations=i + 1)
+            out = _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
+                                  pen, L0 * eta, eta, max_backtracks,
+                                  sufficient_decrease, tried=1, rows=rows)
+            return out._replace(evaluations=out.evaluations + scales.size - 1)
+        passed = failed[0] if failed.size else scales.size
+        if passed:
+            accepted = block.row(passed - 1)._replace(trials=start + passed - 1)
+        if failed.size:
+            break
+    return accepted._replace(evaluations=start + scales.size)
 
 
 def _anchor_state(anchor, data: Dataset, pen: Penalty):
@@ -460,7 +507,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
     rows = SupportRows()  # this fit's gathered support rows, dropped on return
-    screen = GradientScreen(pen.lam) if pen.kind == L1 else None  # likewise
+    screen = GradientScreen(pen.lam, data.feature_norms) if pen.kind == L1 else None  # likewise
 
     def gradient(z, anchor):
         if screen is None:
@@ -526,6 +573,11 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         if converged:
             break
 
+    if opts.variant == "ista_reverse" and len(trace):
+        # Block products round differently from one-row ones: report beta's
+        # objective as ``objective`` computes it, for one more product.
+        f_prev = loss_from_margins(margins(beta, data, rows), data) + penalty_value(beta, pen)
+        matvecs += 1
     # Every iteration made one gradient product besides its margin products,
     # a full one unless the screen read fewer rows.
     gradient_rows = data.n_features * len(trace) if screen is None else screen.read

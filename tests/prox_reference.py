@@ -1,0 +1,26 @@
+"""Reference proximal maps for the penalty tests: one coordinate, and a grid search."""
+
+import numpy as np
+
+from proxlogit import Penalty, penalty_value, prox_vector
+
+
+def prox_scalar(t: float, pen: Penalty, L: float) -> float:
+    """Proximal map of a single coordinate; sign-symmetric in t."""
+    return float(prox_vector(np.array([t]), pen, L)[0])
+
+
+def prox_oracle(t: float, pen: Penalty, L: float, grid_step: float = 1e-4) -> float:
+    """Exhaustive grid minimization of the prox objective over [-|t|-1, |t|+1].
+
+    Accurate to roughly the grid step.
+    """
+    if not L > 0:
+        raise ValueError(f"prox scale L must be positive, got {L}")
+    if not grid_step > 0:
+        raise ValueError("grid_step must be positive")
+    hi = abs(float(t)) + 1.0
+    grid = np.arange(-hi, hi + grid_step, grid_step)
+    # One grid point per row: the row totals are the penalties g(w).
+    obj = 0.5 * L * (grid - t) ** 2 + penalty_value(grid[:, np.newaxis], pen)
+    return float(grid[int(np.argmin(obj))])

@@ -24,14 +24,13 @@ from proxlogit import (
     lipschitz_constant,
     loss_gradient,
     loss_value,
-    prox_oracle,
-    prox_scalar,
     PathSpec,
     cross_validate,
 )
 from proxlogit.cli import main as cli_main
 
 from conftest import make_dataset
+from prox_reference import prox_oracle, prox_scalar
 from test_cli import normalized_artifacts
 
 

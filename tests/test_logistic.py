@@ -203,13 +203,55 @@ class TestGatheredMargins:
                 assert rows.read == read
 
 
+class TestBlockMargins:
+    @pytest.mark.parametrize("union", [0, 3, 16, 17, 64])
+    def test_rows_close_to_one_row_products(self, union):
+        # union supports at and around d/4 = 16: gathered up to it, full past it
+        data = make_dataset(seed=36, d=64, n=50)
+        rng = np.random.default_rng(37)
+        B = np.zeros((6, 64))
+        cols = rng.choice(64, size=union, replace=False)
+        B[:, cols] = rng.normal(size=(6, union)) * (rng.uniform(size=(6, union)) < 0.7)
+        B[:, cols[:1]] = 1.0  # each row reaches the whole union
+        rows = SupportRows()
+        Z = margins(B, data, rows)
+        assert Z.shape == (6, 50)
+        assert rows.read == 6 * (union if 4 * union <= 64 else 64)
+        for b, z in zip(B, Z):
+            bound = 1e-12 * (np.abs(b) @ np.abs(data.features))
+            assert np.all(np.abs(z - margins(b, data)) <= bound)
+        if 0 < 4 * union <= 64:
+            np.testing.assert_array_equal(rows.support, np.sort(cols))
+            np.testing.assert_array_equal(Z, B[:, rows.support] @ data.features[rows.support])
+            np.testing.assert_array_equal(margins(B, data), Z)  # no holder, same bits
+
+    def test_zero_block_gives_positive_zeros(self, small_data):
+        rows = SupportRows()
+        Z = margins(np.full((3, small_data.n_features), -0.0), small_data, rows)
+        assert np.all(Z == 0.0) and not np.any(np.signbit(Z))
+        assert rows.read == 0
+
+    def test_loss_rows_bitwise_equal_to_one_row_losses(self, small_data):
+        rng = np.random.default_rng(38)
+        Z = rng.normal(size=(7, small_data.n_samples)) * 10.0 ** rng.uniform(-3, 3, size=(7, 1))
+        losses = loss_from_margins(Z, small_data)
+        assert losses.shape == (7,)
+        one_row = np.array([loss_from_margins(z, small_data) for z in Z])
+        np.testing.assert_array_equal(losses.view(np.uint64), one_row.view(np.uint64))
+
+    @pytest.mark.parametrize("shape", [(2, 13), (2, 3, 12)])
+    def test_block_shape_mismatch(self, small_data, shape):
+        with pytest.raises(ValueError, match="shape"):
+            margins(np.zeros(shape), small_data)
+
+
 class TestGradientScreen:
     @staticmethod
     def referenced(lam, d=40, n=30, seed=40):
         """A screen that has taken its reference at a zero anchor, with X and r."""
         rng = np.random.default_rng(seed)
         X, r = rng.normal(size=(d, n)), rng.uniform(-0.5, 0.5, size=n)
-        screen = GradientScreen(lam).at(np.zeros(d))
+        screen = GradientScreen(lam, _row_norms(X)).at(np.zeros(d))
         np.testing.assert_array_equal(screen.product(X, r), X @ r)
         assert screen.read == d and screen.rows.shape == (d // 4, n)
         return screen, X, r
@@ -247,7 +289,7 @@ class TestGradientScreen:
         X, r = rng.normal(size=(40, 30)), rng.uniform(-0.5, 0.5, size=30)
         anchor = np.zeros(40)
         anchor[:10] = 1.0  # a quarter of the coordinates
-        screen = GradientScreen(1e6).at(anchor)
+        screen = GradientScreen(1e6, _row_norms(X)).at(anchor)
         for i in range(3):
             np.testing.assert_array_equal(screen.product(X, r), X @ r)
             assert screen.read == 40 * (i + 1) and screen.rows is None

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from proxlogit import KINDS, Penalty, penalty_value, prox_oracle, prox_scalar, prox_vector
+from proxlogit import KINDS, Penalty, penalty_value, prox_vector
 from proxlogit.penalties import CAPPED_L1, L1, MCP, SCAD, _DEGENERATE, _g_abs, _prox_magnitudes
+
+from prox_reference import prox_oracle, prox_scalar
 
 
 def random_penalty(kind, rng):
@@ -406,3 +408,65 @@ class TestClosedFormMatchesEnumeration:
             w = prox_vector(np.array([np.inf, -np.inf, np.nan]), pen, factor * _curvature(pen))
         assert w[0] == np.inf and w[1] == -np.inf
         assert not np.isfinite(w[2])
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+class TestBlockAxis:
+    """Row i of a block call equals the one-row call on row i, bit for bit."""
+
+    @staticmethod
+    def scales(pen: Penalty) -> np.ndarray:
+        # Both sides of 1/theta and of 1/(theta - 1), where MCP and SCAD
+        # switch between the convex and the concave prox, and the points.
+        theta = pen.theta or 3.0
+        factors = np.array([0.25, 0.5, 1 - 1e-13, 1.0, 1 + 1e-13, 2.0, 4.0])
+        return np.concatenate([factors / theta, factors / (theta - 1.0)])
+
+    @staticmethod
+    def rows(pen: Penalty, K: int, rng) -> np.ndarray:
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e-310]
+        b = _boundaries(pen, 1.0)
+        U = rng.standard_normal((K, 60)) * 10.0 ** rng.uniform(-2.0, 1.0, size=(K, 60))
+        U[:, :len(special)] = special
+        U[:, len(special):len(special) + 2 * b.size] = np.concatenate([b, -b])
+        return U
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_prox_rows_equal_one_row_calls(self, kind):
+        rng = np.random.default_rng(21)
+        pen = random_penalty(kind, rng)
+        Ls = rng.permutation(self.scales(pen))
+        theta = pen.theta or 3.0
+        # blocks mixing both regimes, descending as a reverse search's ladder
+        # and ascending, and blocks of one regime each
+        for block in (np.sort(Ls)[::-1], np.sort(Ls), Ls,
+                      Ls[Ls > 1 / (theta - 1.0)], Ls[Ls < 1 / theta]):
+            U = self.rows(pen, block.size, rng)
+            with np.errstate(invalid="ignore"):
+                out = prox_vector(U, pen, block[:, np.newaxis])
+                for i, L in enumerate(block):
+                    np.testing.assert_array_equal(_bits(out[i]),
+                                                  _bits(prox_vector(U[i], pen, L)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_penalty_rows_equal_one_row_calls(self, kind):
+        rng = np.random.default_rng(22)
+        pen = random_penalty(kind, rng)
+        B = self.rows(pen, 9, rng)
+        B[3, 2:5] = 0.0  # a finite row
+        B[3, 10:] = 0.0
+        with np.errstate(invalid="ignore"):
+            totals = penalty_value(B, pen)
+            one_row = [penalty_value(b, pen) for b in B]
+        assert totals.shape == (9,)
+        np.testing.assert_array_equal(_bits(totals), _bits(one_row))
+        assert np.isfinite(totals[3])
+
+    def test_block_scales_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            prox_vector(np.ones((2, 3)), Penalty.l1(1.0), np.array([[1.0], [0.0]]))
+        with pytest.raises(ValueError, match="positive"):
+            prox_vector(np.ones((2, 3)), Penalty.l1(1.0), np.array([[1.0], [np.nan]]))

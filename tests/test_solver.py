@@ -28,7 +28,7 @@ from proxlogit import (
     reverse_search,
     sigmoid,
 )
-from proxlogit import solver
+from proxlogit import data as data_module, solver
 from proxlogit.logistic import margins
 from proxlogit.solver import _fista_t_next
 
@@ -251,7 +251,7 @@ class TestReverseSearch:
         real = solver.prox_vector
 
         def recording(u, pen, L):
-            scales.append(L)
+            scales.extend(np.ravel(L).tolist())  # one scale per row of a block
             return real(u, pen, L)
 
         monkeypatch.setattr(solver, "prox_vector", recording)
@@ -259,7 +259,7 @@ class TestReverseSearch:
 
     def test_fallback_evaluates_each_scale_once(self, small_data, monkeypatch):
         # the fallback grows forward past the rejected L0 instead of
-        # re-evaluating it: one prox per evaluation, no L tried twice
+        # re-evaluating it: one prox row per evaluation, no L tried twice
         L_lip = lipschitz_constant(small_data)
         pen = Penalty.scad(0.2 * lambda_max(small_data), 3.7)
         rng = np.random.default_rng(16)
@@ -271,9 +271,14 @@ class TestReverseSearch:
             out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
                                          sufficient_decrease=True)
             assert out.L > L_lip / 64  # the fallback path
-            assert len(scales) == out.evaluations == out.trials + 1
+            # the first block of the ladder, L0 first, then the forward part
+            block, forward = scales[:solver._BLOCK], scales[solver._BLOCK:]
+            assert block == [L_lip / 64 / 2.0 ** i for i in range(solver._BLOCK)]
+            assert len(scales) == out.evaluations
+            assert len(block[:1] + forward) == out.trials + 1
             assert len(set(scales)) == len(scales)
-            assert scales == [L_lip / 64 * 2.0 ** i for i in range(len(scales))]
+            assert block[:1] + forward == [L_lip / 64 * 2.0 ** i
+                                           for i in range(len(forward) + 1)]
 
     def test_fallback_budget_keeps_last_L(self, small_data, monkeypatch):
         # L0, then max_backtracks forward steps: the same scales and last_L
@@ -285,12 +290,101 @@ class TestReverseSearch:
         with pytest.raises(LineSearchError, match="after 3 backtracks") as err:
             reverse_search(anchor, small_data, pen, L0=L0, eta=2.0,
                            criterion="sufficient_decrease", max_backtracks=3)
-        assert scales == [L0, 2.0 * L0, 4.0 * L0, 8.0 * L0]
+        assert scales == ([L0 / 2.0 ** i for i in range(solver._BLOCK)]
+                          + [2.0 * L0, 4.0 * L0, 8.0 * L0])
         assert err.value.last_L == 8.0 * L0
         with pytest.raises(LineSearchError) as forward_err:
             linesearch_sufficient_decrease(anchor, small_data, pen, L_start=L0, eta=2.0,
                                            max_backtracks=3)
         assert forward_err.value.last_L == err.value.last_L
+
+    @staticmethod
+    def sequential_scan(state, data, pen, L0, eta, max_expansions, sufficient):
+        """The ladder one scale at a time with one-row kernels, up to its first failure.
+
+        Returns (f, bound) per evaluated scale: the candidate's objective and
+        the value the criterion compares it with.
+        """
+        anchor, l_anchor, f_anchor, grad = state
+        checks = []
+        for i in range(max_expansions):
+            L = L0 / eta ** i
+            cand = prox_vector(anchor - grad / L, pen, L)
+            diff = cand - anchor
+            step_sq = float(diff @ diff)
+            if sufficient:
+                bound = f_anchor - 0.5 * L * step_sq
+            else:
+                bound = (l_anchor + float(diff @ grad) + 0.5 * L * step_sq
+                         + penalty_value(cand, pen))
+            checks.append((objective(cand, data, pen), bound))
+            if not checks[-1][0] <= bound:
+                break
+        return checks
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("eta, cap", [(2.0, 60), (1.3, 13), (1.3, 60)])
+    def test_blocks_take_the_sequential_scan_index(self, kind, eta, cap):
+        data = make_dataset(seed=95, d=30, n=80)
+        pen = penalty_of(kind, 0.1 * lambda_max(data))
+        sufficient = kind != "l1"
+        L_lip = lipschitz_constant(data)
+        rng = np.random.default_rng(96)
+        near = 0
+        for _ in range(24):
+            anchor = rng.normal(scale=10.0 ** rng.uniform(-2, 0), size=data.n_features)
+            L0 = L_lip * 2.0 ** rng.uniform(-1, 3)
+            state = solver._anchor_state(anchor, data, pen)
+            checks = self.sequential_scan(state, data, pen, L0, eta, cap, sufficient)
+            first_fail = len(checks) - 1 if checks[-1][0] > checks[-1][1] else None
+            out = solver._reverse_search(*state, data, pen, L0, eta, cap, 100, sufficient)
+            if first_fail == 0:
+                assert out.L > L0  # the forward fallback
+                continue
+            index = cap - 1 if first_fail is None else first_fail - 1
+            if out.L != L0 / eta ** index:
+                # the block and the scan may disagree only where the scan's
+                # objective is within rounding of its bound, at the first
+                # scale where their verdicts differ
+                deciding = 0 if out.L > L0 else min(out.trials + 1, index + 1)
+                f, bound = checks[deciding]
+                assert abs(f - bound) <= 1e-12 * abs(bound)
+                near += 1
+                continue
+            assert out.trials == index
+            blocks_read = -(-(index + 2) // solver._BLOCK)  # through the failing scale
+            assert out.evaluations == min(cap, solver._BLOCK * blocks_read)
+        assert near <= 2
+
+    @pytest.mark.parametrize("cap", [1, 5, 6, 7, 13])
+    def test_no_scale_past_the_cap(self, small_data, cap, monkeypatch):
+        # above lambda_max the zero anchor is the candidate at every scale
+        # and meets its upper model exactly, so no scale of the ladder fails
+        pen = Penalty.l1(1.5 * lambda_max(small_data))
+        L0 = lipschitz_constant(small_data)
+        state = solver._anchor_state(np.zeros(small_data.n_features), small_data, pen)
+        scales = self._record_prox_scales(monkeypatch)
+        out = solver._reverse_search(*state, small_data, pen, L0, 2.0, cap, 100,
+                                     sufficient_decrease=False)
+        assert scales == [L0 / 2.0 ** i for i in range(cap)]
+        assert out.L == L0 / 2.0 ** (cap - 1)
+        assert out.trials == cap - 1 and out.evaluations == cap
+
+    def test_base_failure_is_the_forward_search_from_eta_L0(self, small_data):
+        L_lip = lipschitz_constant(small_data)
+        pen = Penalty.mcp(0.2 * lambda_max(small_data), 3.0)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            state = solver._anchor_state(rng.normal(size=small_data.n_features),
+                                         small_data, pen)
+            out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
+                                         sufficient_decrease=True)
+            forward = solver._forward_search(*state, small_data, pen, L_lip / 32, 2.0, 100,
+                                             True, tried=1)
+            assert out.L == forward.L > L_lip / 64
+            assert out.trials == forward.trials and out.objective == forward.objective
+            np.testing.assert_array_equal(out.candidate, forward.candidate)
+            assert out.evaluations == forward.evaluations + solver._BLOCK - 1
 
     def test_unknown_criterion(self, small_data):
         with pytest.raises(ValueError):
@@ -526,14 +620,17 @@ class TestMatvecs:
         evaluations = []
         real = solver.prox_vector
 
-        def counting(*args, **kwargs):
-            evaluations.append(1)
-            return real(*args, **kwargs)
+        def counting(u, pen, L):
+            evaluations.append(np.size(L))  # one per row of a block
+            return real(u, pen, L)
 
         monkeypatch.setattr(solver, "prox_vector", counting)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         res = fit(small_data, pen, SolverOptions(variant="ista_reverse", max_iters=300))
-        assert res.matvecs == 1 + res.n_iterations + len(evaluations)
+        assert res.n_iterations > 0
+        # the start, one gradient per iteration, every evaluated row, and the
+        # recomputation of the returned objective
+        assert res.matvecs == 1 + res.n_iterations + sum(evaluations) + 1
 
     @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
     def test_matches_kernel_calls(self, small_data, variant, kind, monkeypatch):
@@ -542,13 +639,13 @@ class TestMatvecs:
             real = getattr(solver, name)
 
             def counting(*args, _real=real, **kwargs):
-                calls.append(1)
+                calls.append(len(args[0]) if np.ndim(args[0]) == 2 else 1)  # rows of a block
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(solver, name, counting)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
-        assert res.matvecs == len(calls)
+        assert res.matvecs == sum(calls)
 
     @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
     @pytest.mark.parametrize("max_iters", [0, 300])
@@ -580,16 +677,18 @@ def record_products(monkeypatch, d):
     """Patch the kernels ``fit`` calls; return the feature rows each product reads.
 
     Returns two lists, one entry per margin product and one per gradient
-    product.  A margin product reads the k rows of its support when 4 k <= d,
-    else all d; a gradient product reads all d, or, through a screen, the rows
-    the screen's ``read`` count grew by.
+    product; a margin call on a block of K coefficient rows makes K products.
+    A margin product reads the k rows of its support (for a block, the union
+    of its rows' supports) when 4 k <= d, else all d; a gradient product reads
+    all d, or, through a screen, the rows the screen's ``read`` count grew by.
     """
     margin_rows, gradient_rows = [], []
     real_margins, real_gradient = solver.margins, solver.gradient_from_margins
 
     def recording_margins(beta, *args, **kwargs):
-        k = np.count_nonzero(beta)
-        margin_rows.append(k if 4 * k <= d else d)
+        block = np.atleast_2d(beta)
+        k = np.count_nonzero(np.any(block, axis=0))
+        margin_rows.extend([k if 4 * k <= d else d] * len(block))
         return real_margins(beta, *args, **kwargs)
 
     def recording_gradient(z, data, screen=None):
@@ -614,6 +713,24 @@ class TestFeatureRows:
         res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
         assert res.matvecs == len(margin_rows) + len(gradient_rows)
         assert res.feature_rows == sum(margin_rows) + sum(gradient_rows)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("cap", [5, 7])
+    def test_reverse_counts_rows_of_partial_blocks(self, small_data, kind, cap, monkeypatch):
+        # from far above the Lipschitz step the ladder runs past one block
+        # and often to the cap, which cuts the last block short
+        margin_rows, gradient_rows = record_products(monkeypatch, small_data.n_features)
+        scales = TestReverseSearch._record_prox_scales(monkeypatch)
+        pen = penalty_of(kind, 0.1 * lambda_max(small_data))
+        L0 = 1e3 * lipschitz_constant(small_data)
+        res = fit(small_data, pen, SolverOptions(variant="ista_reverse", l0=L0,
+                                                 max_expansions=cap, max_iters=100))
+        assert max(res.trace.backtracks) == cap - 1
+        assert min(res.trace.step_scales) >= L0 / 2.0 ** (cap - 1)
+        assert len(scales) == len(margin_rows) - 2  # the start and the final objective
+        assert res.matvecs == len(margin_rows) + len(gradient_rows)
+        assert res.feature_rows == sum(margin_rows) + sum(gradient_rows)
+        assert res.final_objective == objective(res.beta, small_data, pen)
 
     @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip", "ista_reverse"])
     def test_sparse_wide_fit_gathers(self, variant, monkeypatch):
@@ -715,6 +832,31 @@ class TestGradientScreen:
             res = fit(data, pen, SolverOptions(variant=variant, max_iters=500))
         assert np.all(np.isfinite(res.beta))
         assert res.final_objective == objective(res.beta, data, pen)
+
+
+class TestFeatureNorms:
+    @staticmethod
+    def count_norms(monkeypatch) -> list:
+        calls = []
+        real = data_module._row_norms
+
+        def counting(X):
+            calls.append(X.shape)
+            return real(X)
+
+        monkeypatch.setattr(data_module, "_row_norms", counting)
+        return calls
+
+    def test_computed_once_per_dataset(self, monkeypatch):
+        calls = self.count_norms(monkeypatch)
+        data = make_dataset(seed=97, d=80, n=40)
+        pen = Penalty.l1(0.3 * lambda_max(data))
+        first, second = fit(data, pen), fit(data, pen, SolverOptions(variant="fista_lip"))
+        assert first.converged and second.converged
+        assert calls == [(80, 40)]
+        fold = Dataset(data.features[:, :30], data.labels[:30])  # as a CV fold is made
+        fit(fold, Penalty.l1(0.3 * lambda_max(fold)))
+        assert calls == [(80, 40), (80, 30)]
 
 
 class TestFitClock:
