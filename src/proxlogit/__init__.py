@@ -12,7 +12,6 @@ from .data import (
     generate_synthetic,
     load_csv,
     load_libsvm,
-    save_libsvm,
 )
 from .logistic import (
     lipschitz_constant,
@@ -53,13 +52,8 @@ from .solver import (
     Trace,
     bb_stepsize,
     fit,
-    linesearch_convex,
-    linesearch_sufficient_decrease,
     nonzero_count,
     objective,
-    prox_step,
-    q_upper,
-    reverse_search,
 )
 
 __version__ = "0.1.0"

@@ -1,8 +1,12 @@
 """Command-line front end: train, path, cv, and bench subcommands.
 
 Runs are configured by an INI-style file (``--config``) with sections
-``[data] [synthetic] [penalty] [solver] [path] [cv] [bench] [output]``; any
-command-line flag overrides the corresponding config value.  Artifacts are
+``[data] [synthetic] [penalty] [solver] [path] [cv] [bench] [output]`` and by
+flags; a flag overrides the config value.  ``RunConfig`` is the one table of
+settings: each field names its INI ``[section] key``, its flag and the
+subcommands that take it, and the one function that parses both the INI and
+the flag value.  An unknown section or key, or a value its parser rejects,
+is an error naming the key or flag.  Artifacts are
 CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
@@ -47,49 +51,6 @@ def _fmt(x: float) -> str:
 # Configuration
 
 
-@dataclasses.dataclass
-class RunConfig:
-    data_path: str | None = None
-    data_format: str = "csv"  # csv | libsvm | synthetic
-    label_column: int = 0
-    has_header: bool = False
-    add_intercept: bool = False
-    n_features_hint: int | None = None
-
-    synth_samples: int = 200
-    synth_features: int = 50
-    synth_nonzero: int = 5
-    synth_noise: float = 0.0
-    synth_seed: int = 0
-
-    penalty: str = "l1"
-    lambda_frac: float = 0.1
-    theta: float | None = None
-    epsilon: float | None = None
-
-    variant: str = "ista_bb"
-    eta: float = 2.0
-    l0: float | None = None  # None: from the Lipschitz constant
-    max_iters: int = 10_000
-    tol: float = 1e-9
-    max_backtracks: int = 100
-    seed: int = 0
-    beta0: str = "zeros"
-
-    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
-    warm_start: bool = True
-
-    folds: int = 5
-    cv_seed: int = 0
-
-    grid: tuple[tuple[int, int], ...] = ((1000, 500), (1000, 1000))
-    repetitions: int = 3
-    bench_variants: tuple[str, ...] = ("ista_bb", "ista_reverse", "fista_lip")
-
-    out_dir: str = "out"
-    trace_every: int = 1
-
-
 def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
@@ -100,10 +61,7 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_fractions(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
-    except ValueError:
-        raise CliError(f"bad fraction list {text!r}") from None
+    return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
@@ -130,118 +88,138 @@ def _parse_l0(text: str) -> float | None:
         raise CliError(f"bad l0 {text!r}; expected a number or 'lipschitz'") from None
 
 
-def _apply_config_file(cfg: RunConfig, path: str) -> None:
-    if not os.path.exists(path):
-        raise CliError(f"config file not found: {path}")
+def _choice(options):
+    def parse(text: str) -> str:
+        if text not in options:
+            raise CliError(f"expected one of {', '.join(options)}; got {text!r}")
+        return text
+
+    parse.metavar = "{" + ",".join(options) + "}"
+    return parse
+
+
+def _parse_variants(text: str) -> tuple[str, ...]:
+    return tuple(_choice(VARIANTS)(v) for v in text.replace(" ", "").split(",") if v)
+
+
+def _field(default, key, flag=None, parse=str, commands=("train", "path", "cv", "bench"),
+           help=None, switch=False):
+    """A ``RunConfig`` field read from INI ``key`` ("section.key") and from ``flag``.
+
+    Both raw strings go through ``parse``.  ``commands`` are the subcommands
+    that take the flag; a ``switch`` flag takes no value and means "true".
+    """
+    return dataclasses.field(default=default, metadata={
+        "key": key, "flag": flag, "parse": parse, "commands": commands, "help": help,
+        "switch": switch})
+
+
+@dataclasses.dataclass
+class RunConfig:
+    data_path: str | None = _field(None, "data.path", "--data", help="dataset file path")
+    data_format: str = _field("csv", "data.format", "--format",
+                              _choice(("csv", "libsvm", "synthetic")),
+                              help="dataset format (synthetic generates data in-process)")
+    label_column: int = _field(0, "data.label_column", "--label-column", int,
+                               help="zero-based label column for CSV input")
+    has_header: bool = _field(False, "data.has_header", "--has-header", _parse_bool,
+                              help="skip the first CSV line", switch=True)
+    add_intercept: bool = _field(False, "data.add_intercept", "--add-intercept", _parse_bool,
+                                 help="append a constant-1 feature (penalized like the rest)",
+                                 switch=True)
+    n_features_hint: int | None = _field(None, "data.n_features", parse=int)
+
+    synth_samples: int = _field(200, "synthetic.n_samples", "--synthetic-samples", int)
+    synth_features: int = _field(50, "synthetic.n_features", "--synthetic-features", int)
+    synth_nonzero: int = _field(5, "synthetic.n_nonzero", "--synthetic-nonzero", int)
+    synth_noise: float = _field(0.0, "synthetic.noise_scale", "--synthetic-noise", float)
+    synth_seed: int = _field(0, "synthetic.seed", "--synthetic-seed", int)
+
+    penalty: str = _field("l1", "penalty.kind", "--penalty", _choice(KINDS))
+    lambda_frac: float = _field(0.1, "penalty.lambda_frac", "--lambda-frac", float,
+                                help="lambda as a fraction of lambda_max")
+    theta: float | None = _field(None, "penalty.theta", "--theta", float,
+                                 help="SCAD/MCP shape parameter")
+    epsilon: float | None = _field(None, "penalty.epsilon", "--epsilon", float,
+                                   help="capped-l1 cap")
+
+    variant: str = _field("ista_bb", "solver.variant", "--variant", _choice(VARIANTS))
+    eta: float = _field(2.0, "solver.eta", "--eta", float,
+                        help="line-search growth factor (> 1)")
+    l0: float | None = _field(None, "solver.l0", "--l0", _parse_l0,  # None: Lipschitz
+                              help="initial step scale: a number or 'lipschitz'")
+    max_iters: int = _field(10_000, "solver.max_iters", "--max-iters", int)
+    tol: float = _field(1e-9, "solver.tol", "--tol", float,
+                        help="relative objective-change stop")
+    max_backtracks: int = _field(100, "solver.max_backtracks", "--max-backtracks", int)
+    seed: int = _field(0, "solver.seed", "--seed", int)
+    beta0: str = _field("zeros", "solver.beta0", "--beta0", _choice(("zeros", "random")))
+
+    fractions: tuple[float, ...] = _field(DEFAULT_FRACTIONS, "path.fractions", "--fractions",
+                                          _parse_fractions, ("path", "cv"),
+                                          help="comma-separated fractions of lambda_max")
+    warm_start: bool = _field(True, "path.warm_start", "--warm-start", _parse_bool,
+                              ("path", "cv"), help="true/false")
+
+    folds: int = _field(5, "cv.folds", "--folds", int, ("cv",))
+    cv_seed: int = _field(0, "cv.seed", "--cv-seed", int, ("cv",))
+
+    grid: tuple[tuple[int, int], ...] = _field(((1000, 500), (1000, 1000)), "bench.grid",
+                                               "--grid", _parse_grid, ("bench",),
+                                               help="comma-separated SAMPLESxFEATURES cells")
+    repetitions: int = _field(3, "bench.repetitions", "--reps", int, ("bench",),
+                              help="repetitions per cell")
+    bench_variants: tuple[str, ...] = _field(("ista_bb", "ista_reverse", "fista_lip"),
+                                             "bench.variants", "--variants", _parse_variants,
+                                             ("bench",),
+                                             help="comma-separated solver variants")
+
+    out_dir: str = _field("out", "output.dir", "--out", help="output directory")
+    trace_every: int = _field(1, "output.trace_every", "--trace-every", int,
+                              help="thin the emitted trace to every Nth iteration")
+
+
+def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
+    """Map each field the INI file sets to its raw value and "[section] key"."""
+    by_key = {f.metadata["key"]: f.name for f in dataclasses.fields(RunConfig)}
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
-    cp.read(path)
-
-    def get(section, option, cast, current):
-        if cp.has_option(section, option):
-            raw = cp.get(section, option).strip()
-            return cast(raw)
-        return current
-
-    cfg.data_path = get("data", "path", str, cfg.data_path)
-    cfg.data_format = get("data", "format", str, cfg.data_format)
-    cfg.label_column = get("data", "label_column", int, cfg.label_column)
-    cfg.has_header = get("data", "has_header", _parse_bool, cfg.has_header)
-    cfg.add_intercept = get("data", "add_intercept", _parse_bool, cfg.add_intercept)
-    cfg.n_features_hint = get("data", "n_features", int, cfg.n_features_hint)
-
-    cfg.synth_samples = get("synthetic", "n_samples", int, cfg.synth_samples)
-    cfg.synth_features = get("synthetic", "n_features", int, cfg.synth_features)
-    cfg.synth_nonzero = get("synthetic", "n_nonzero", int, cfg.synth_nonzero)
-    cfg.synth_noise = get("synthetic", "noise_scale", float, cfg.synth_noise)
-    cfg.synth_seed = get("synthetic", "seed", int, cfg.synth_seed)
-
-    cfg.penalty = get("penalty", "kind", str, cfg.penalty)
-    cfg.lambda_frac = get("penalty", "lambda_frac", float, cfg.lambda_frac)
-    cfg.theta = get("penalty", "theta", float, cfg.theta)
-    cfg.epsilon = get("penalty", "epsilon", float, cfg.epsilon)
-
-    cfg.variant = get("solver", "variant", str, cfg.variant)
-    cfg.eta = get("solver", "eta", float, cfg.eta)
-    cfg.l0 = get("solver", "l0", _parse_l0, cfg.l0)
-    cfg.max_iters = get("solver", "max_iters", int, cfg.max_iters)
-    cfg.tol = get("solver", "tol", float, cfg.tol)
-    cfg.max_backtracks = get("solver", "max_backtracks", int, cfg.max_backtracks)
-    cfg.seed = get("solver", "seed", int, cfg.seed)
-    cfg.beta0 = get("solver", "beta0", str, cfg.beta0)
-
-    cfg.fractions = get("path", "fractions", _parse_fractions, cfg.fractions)
-    cfg.warm_start = get("path", "warm_start", _parse_bool, cfg.warm_start)
-
-    cfg.folds = get("cv", "folds", int, cfg.folds)
-    cfg.cv_seed = get("cv", "seed", int, cfg.cv_seed)
-
-    cfg.grid = get("bench", "grid", _parse_grid, cfg.grid)
-    cfg.repetitions = get("bench", "repetitions", int, cfg.repetitions)
-    cfg.bench_variants = get("bench", "variants",
-                             lambda s: tuple(v for v in s.replace(" ", "").split(",") if v),
-                             cfg.bench_variants)
-    cfg.lambda_frac = get("bench", "lambda_frac", float, cfg.lambda_frac)
-
-    cfg.out_dir = get("output", "dir", str, cfg.out_dir)
-    cfg.trace_every = get("output", "trace_every", int, cfg.trace_every)
+    raw = {}
+    try:
+        if not cp.read(path):
+            raise CliError(f"config file not found: {path}")
+        for section in ([cp.default_section] if cp.defaults() else []) + cp.sections():
+            if not any(key.startswith(section + ".") for key in by_key):
+                raise CliError(f"unknown config section [{section}]")
+            for option in cp.options(section):
+                if f"{section}.{option}" not in by_key:
+                    raise CliError(f"unknown config key [{section}] {option}")
+                raw[by_key[f"{section}.{option}"]] = (cp.get(section, option).strip(),
+                                                      f"[{section}] {option}")
+    except configparser.Error as exc:
+        raise CliError(" ".join(str(exc).split())) from None
+    return raw
 
 
-def _apply_flags(cfg: RunConfig, args: argparse.Namespace) -> None:
-    mapping = {
-        "data": "data_path", "format": "data_format", "label_column": "label_column",
-        "penalty": "penalty", "lambda_frac": "lambda_frac", "theta": "theta",
-        "epsilon": "epsilon", "variant": "variant", "eta": "eta", "tol": "tol",
-        "max_iters": "max_iters", "max_backtracks": "max_backtracks", "seed": "seed",
-        "beta0": "beta0", "out": "out_dir", "trace_every": "trace_every",
-        "folds": "folds", "cv_seed": "cv_seed", "reps": "repetitions",
-        "synthetic_samples": "synth_samples", "synthetic_features": "synth_features",
-        "synthetic_nonzero": "synth_nonzero", "synthetic_noise": "synth_noise",
-        "synthetic_seed": "synth_seed",
-    }
-    for flag, field in mapping.items():
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, field, value)
-    if getattr(args, "has_header", False):
-        cfg.has_header = True
-    if getattr(args, "add_intercept", False):
-        cfg.add_intercept = True
-    if getattr(args, "l0", None) is not None:
-        cfg.l0 = _parse_l0(args.l0)
-    if getattr(args, "fractions", None) is not None:
-        cfg.fractions = _parse_fractions(args.fractions)
-    if getattr(args, "warm_start", None) is not None:
-        cfg.warm_start = _parse_bool(args.warm_start)
-    if getattr(args, "grid", None) is not None:
-        cfg.grid = _parse_grid(args.grid)
-    if getattr(args, "variants", None) is not None:
-        cfg.bench_variants = tuple(v for v in args.variants.replace(" ", "").split(",") if v)
-
-
-def _validate(cfg: RunConfig) -> None:
-    if cfg.data_format not in ("csv", "libsvm", "synthetic"):
-        raise CliError(f"unknown data format {cfg.data_format!r}")
-    if cfg.penalty not in KINDS:
-        raise CliError(f"unknown penalty {cfg.penalty!r}; expected one of {KINDS}")
-    if cfg.variant not in VARIANTS:
-        raise CliError(f"unknown variant {cfg.variant!r}; expected one of {VARIANTS}")
-    for v in cfg.bench_variants:
-        if v not in VARIANTS:
-            raise CliError(f"unknown bench variant {v!r}")
+def _build_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values, overridden by the flags given, each parsed once."""
+    raw = _read_config_file(args.config) if args.config else {}
+    values = {}
+    for f in dataclasses.fields(RunConfig):
+        if getattr(args, f.name, None) is not None:
+            raw[f.name] = (getattr(args, f.name), f.metadata["flag"])
+        if f.name in raw:
+            text, where = raw[f.name]
+            try:
+                values[f.name] = f.metadata["parse"](text)
+            except (CliError, ValueError) as exc:
+                raise CliError(f"{where}: {exc}") from None
+    cfg = RunConfig(**values)
     if not 0 < cfg.lambda_frac:
         raise CliError("lambda_frac must be positive")
     if cfg.trace_every < 1:
         raise CliError("trace_every must be at least 1")
     if cfg.repetitions < 1:
         raise CliError("repetitions must be at least 1")
-
-
-def _build_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        _apply_config_file(cfg, args.config)
-    _apply_flags(cfg, args)
-    _validate(cfg)
     return cfg
 
 
@@ -446,75 +424,43 @@ def cmd_bench(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {
+    "train": (cmd_train, "fit once and emit coefficients + trace"),
+    "path": (cmd_path, "solve a lambda path with warm starts"),
+    "cv": (cmd_cv, "k-fold cross-validation over the path"),
+    "bench": (cmd_bench, "timing grid on synthetic data"),
+}
+
+
 # ---------------------------------------------------------------------------
 # Argument parsing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override it")
-    p.add_argument("--data", help="dataset file path")
-    p.add_argument("--format", choices=["csv", "libsvm", "synthetic"],
-                   help="dataset format (synthetic generates data in-process)")
-    p.add_argument("--label-column", dest="label_column", type=int,
-                   help="zero-based label column for CSV input")
-    p.add_argument("--has-header", dest="has_header", action="store_true", default=None,
-                   help="skip the first CSV line")
-    p.add_argument("--add-intercept", dest="add_intercept", action="store_true", default=None,
-                   help="append a constant-1 feature (penalized like the rest)")
-    p.add_argument("--penalty", choices=list(KINDS))
-    p.add_argument("--lambda-frac", dest="lambda_frac", type=float,
-                   help="lambda as a fraction of lambda_max")
-    p.add_argument("--theta", type=float, help="SCAD/MCP shape parameter")
-    p.add_argument("--epsilon", type=float, help="capped-l1 cap")
-    p.add_argument("--variant", choices=list(VARIANTS))
-    p.add_argument("--eta", type=float, help="line-search growth factor (> 1)")
-    p.add_argument("--l0", help="initial step scale: a number or 'lipschitz'")
-    p.add_argument("--tol", type=float, help="relative objective-change stop")
-    p.add_argument("--max-iters", dest="max_iters", type=int)
-    p.add_argument("--max-backtracks", dest="max_backtracks", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--beta0", choices=["zeros", "random"])
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--trace-every", dest="trace_every", type=int,
-                   help="thin the emitted trace to every Nth iteration")
-    p.add_argument("--synthetic-samples", dest="synthetic_samples", type=int)
-    p.add_argument("--synthetic-features", dest="synthetic_features", type=int)
-    p.add_argument("--synthetic-nonzero", dest="synthetic_nonzero", type=int)
-    p.add_argument("--synthetic-noise", dest="synthetic_noise", type=float)
-    p.add_argument("--synthetic-seed", dest="synthetic_seed", type=int)
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with ``--config`` and its fields' flags.
+
+    Flag values stay raw strings; ``_build_config`` parses them as it parses
+    the INI values.
+    """
     parser = argparse.ArgumentParser(
         prog="proxlogit",
         description="Proximal-gradient solvers for sparse logistic regression.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="fit once and emit coefficients + trace")
-    _add_common(p_train)
-
-    p_path = sub.add_parser("path", help="solve a lambda path with warm starts")
-    _add_common(p_path)
-    p_path.add_argument("--fractions", help="comma-separated fractions of lambda_max")
-    p_path.add_argument("--warm-start", dest="warm_start", help="true/false")
-
-    p_cv = sub.add_parser("cv", help="k-fold cross-validation over the path")
-    _add_common(p_cv)
-    p_cv.add_argument("--fractions", help="comma-separated fractions of lambda_max")
-    p_cv.add_argument("--warm-start", dest="warm_start", help="true/false")
-    p_cv.add_argument("--folds", type=int)
-    p_cv.add_argument("--cv-seed", dest="cv_seed", type=int)
-
-    p_bench = sub.add_parser("bench", help="timing grid on synthetic data")
-    _add_common(p_bench)
-    p_bench.add_argument("--grid", help="comma-separated SAMPLESxFEATURES cells")
-    p_bench.add_argument("--reps", type=int, help="repetitions per cell")
-    p_bench.add_argument("--variants", help="comma-separated solver variants")
-
+    for command, (_, help_text) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--config", help="INI config file; flags override it")
+        for f in dataclasses.fields(RunConfig):
+            m = f.metadata
+            if m["flag"] is None or command not in m["commands"]:
+                continue
+            if m["switch"]:
+                p.add_argument(m["flag"], dest=f.name, action="store_const", const="true",
+                               help=m["help"])
+            else:
+                p.add_argument(m["flag"], dest=f.name, help=m["help"],
+                               metavar=getattr(m["parse"], "metavar",
+                                               m["flag"][2:].replace("-", "_").upper()))
     return parser
-
-
-_COMMANDS = {"train": cmd_train, "path": cmd_path, "cv": cmd_cv, "bench": cmd_bench}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -522,7 +468,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _build_config(args)
-        return _COMMANDS[args.command](cfg)
+        return _COMMANDS[args.command][0](cfg)
     except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -22,7 +22,6 @@ __all__ = [
     "generate_synthetic",
     "load_csv",
     "load_libsvm",
-    "save_libsvm",
 ]
 
 
@@ -228,21 +227,6 @@ def load_libsvm(path, n_features: int | None = None,
     if add_intercept:
         X = _with_intercept(X)
     return Dataset(X, np.array(labels))
-
-
-def save_libsvm(data: Dataset, path) -> None:
-    """Write a dataset in the sparse "label idx:val" format, zeros omitted.
-
-    Values are written with 17 significant digits, so a reload reproduces the
-    features exactly.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        for j in range(data.n_samples):
-            parts = [str(int(data.labels[j]))]
-            col = data.features[:, j]
-            for i in np.nonzero(col)[0]:
-                parts.append(f"{i + 1}:{col[i]:.17g}")
-            fh.write(" ".join(parts) + "\n")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:

@@ -1,20 +1,23 @@
 """Proximal-gradient engine for sparse logistic regression.
 
-Five solver variants share one machinery:
+Five solver variants share one machinery.  Each is a row of ``_POLICIES``:
+where each iteration's search for the step scale L starts (its seed), which
+search runs, and whether Nesterov momentum extrapolates the anchor.
 
-* ``ista_bb``       - proximal gradient; each step-size search is seeded by the
-                      Barzilai-Borwein curvature estimate, then backtracks.
-* ``ista_reverse``  - proximal gradient; every iteration starts from the
-                      Lipschitz step and *enlarges* it until the line-search
-                      criterion breaks, keeping the last accepted step; the
-                      ladder of steps is evaluated in blocks of six.
-* ``fista_lip``     - accelerated proximal gradient with Nesterov momentum,
-                      seeded at the Lipschitz constant; the step scale L is
-                      monotone nondecreasing across iterations (l1 only).
-* ``ista_vanilla``  - classic backtracking from a caller-chosen L0; L never
-                      shrinks (the baseline the seeded variants improve on).
-* ``fista_vanilla`` - classic FISTA backtracking from a caller-chosen L0
-                      (l1 only).
+    variant        seed                             search    momentum
+    ista_bb        Barzilai-Borwein (L0 at first)   forward   no
+    ista_reverse   L0 every iteration               reverse   no
+    fista_lip      carried L                        forward   yes
+    ista_vanilla   carried L                        forward   no
+    fista_vanilla  the fista_lip row
+
+For every variant L0 is the Lipschitz constant of the loss gradient unless
+``SolverOptions.l0`` fixes it, so ``fista_lip`` and ``fista_vanilla`` are one
+algorithm under two names.  A forward search grows L from its seed by ``eta``
+until the criterion passes, so a carried L never shrinks; the reverse search
+shrinks L from L0 while candidates pass and keeps the last passing one.
+Momentum does not keep descent monotone under the nonconvex penalties, so its
+variants take the l1 penalty only.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -69,8 +72,7 @@ from typing import NamedTuple, TYPE_CHECKING
 import numpy as np
 
 from .logistic import (GradientScreen, SupportRows, gradient_from_margins,
-                       lipschitz_constant, loss_from_margins, loss_gradient, loss_value,
-                       margins)
+                       lipschitz_constant, loss_from_margins, loss_value, margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 if TYPE_CHECKING:
@@ -85,16 +87,28 @@ __all__ = [
     "VARIANTS",
     "bb_stepsize",
     "fit",
-    "linesearch_convex",
-    "linesearch_sufficient_decrease",
     "nonzero_count",
     "objective",
-    "prox_step",
-    "q_upper",
-    "reverse_search",
 ]
 
-VARIANTS = ("ista_bb", "ista_reverse", "fista_lip", "ista_vanilla", "fista_vanilla")
+
+class _Policy(NamedTuple):
+    """One variant: where each iteration's search starts, which search, and momentum."""
+
+    seed: str        # "L0" every iteration, "bb" (L0 on the first), or "carried" L
+    reverse: bool    # reverse search from the seed, else forward
+    momentum: bool   # Nesterov extrapolation; l1 only
+
+
+_FISTA = _Policy("carried", reverse=False, momentum=True)
+_POLICIES = {
+    "ista_bb": _Policy("bb", reverse=False, momentum=False),
+    "ista_reverse": _Policy("L0", reverse=True, momentum=False),
+    "fista_lip": _FISTA,
+    "ista_vanilla": _Policy("carried", reverse=False, momentum=False),
+    "fista_vanilla": _FISTA,  # the same algorithm under its classic name
+}
+VARIANTS = tuple(_POLICIES)
 
 # Entries at or below this magnitude count as zero when reporting sparsity;
 # the proximal maps produce exact zeros, the threshold only guards float dust
@@ -234,38 +248,9 @@ class FitResult:
         return nonzero_count(self.beta)
 
 
-class LineSearchResult(NamedTuple):
-    L: float
-    candidate: np.ndarray
-    backtracks: int
-    objective: float
-
-
 def objective(beta, data: Dataset, pen: Penalty) -> float:
     """Penalized objective: logistic loss plus penalty."""
     return loss_value(beta, data) + penalty_value(beta, pen)
-
-
-def prox_step(beta, data: Dataset, pen: Penalty, L: float) -> np.ndarray:
-    """One proximal-gradient step from beta at scale L."""
-    beta = np.asarray(beta, dtype=np.float64)
-    return prox_vector(beta - loss_gradient(beta, data) / L, pen, L)
-
-
-def q_upper(candidate, anchor, data: Dataset, pen: Penalty, L: float) -> float:
-    """Quadratic upper model of the objective at ``candidate`` around ``anchor``.
-
-    l(anchor) + <candidate - anchor, grad l(anchor)> + (L/2) ||candidate - anchor||^2
-    + g(candidate).  For L at least the gradient's Lipschitz constant this
-    bounds the true objective at any proximal candidate.
-    """
-    candidate = np.asarray(candidate, dtype=np.float64)
-    anchor = np.asarray(anchor, dtype=np.float64)
-    diff = candidate - anchor
-    return (loss_value(anchor, data)
-            + float(diff @ loss_gradient(anchor, data))
-            + 0.5 * L * float(diff @ diff)
-            + penalty_value(candidate, pen))
 
 
 def bb_stepsize(delta, v, fallback: float) -> float:
@@ -397,51 +382,6 @@ def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
     return accepted._replace(evaluations=start + scales.size)
 
 
-def _anchor_state(anchor, data: Dataset, pen: Penalty):
-    """(anchor, loss, objective, gradient) at ``anchor`` from one margin product."""
-    anchor = np.asarray(anchor, dtype=np.float64)
-    z = margins(anchor, data)
-    l_anchor = loss_from_margins(z, data)
-    return anchor, l_anchor, l_anchor + penalty_value(anchor, pen), gradient_from_margins(z, data)
-
-
-def linesearch_convex(anchor, data: Dataset, pen: Penalty, L_start: float,
-                      eta: float, max_backtracks: int) -> LineSearchResult:
-    """Smallest L = eta^i * L_start whose proximal candidate is below its
-    quadratic upper model; returns that L and the candidate."""
-    out = _forward_search(*_anchor_state(anchor, data, pen), data, pen,
-                          L_start, eta, max_backtracks, sufficient_decrease=False)
-    return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
-
-
-def linesearch_sufficient_decrease(anchor, data: Dataset, pen: Penalty, L_start: float,
-                                   eta: float, max_backtracks: int) -> LineSearchResult:
-    """Smallest L = eta^i * L_start whose proximal candidate drops the
-    objective by at least (L/2) ||candidate - anchor||^2."""
-    out = _forward_search(*_anchor_state(anchor, data, pen), data, pen,
-                          L_start, eta, max_backtracks, sufficient_decrease=True)
-    return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
-
-
-def reverse_search(anchor, data: Dataset, pen: Penalty, L0: float, eta: float,
-                   criterion: str = "convex", max_expansions: int = 60,
-                   max_backtracks: int = 100) -> LineSearchResult:
-    """Enlarge the step from 1/L0 until ``criterion`` breaks; keep the last
-    accepted step (the smallest tested L that still satisfied it).
-
-    If even L0 violates the criterion the search falls back to forward
-    backtracking from eta * L0, with L0 counted as its first trial; if no
-    violation occurs within ``max_expansions`` the last tested step is
-    returned.
-    """
-    if criterion not in ("convex", "sufficient_decrease"):
-        raise ValueError(f"unknown criterion {criterion!r}")
-    out = _reverse_search(*_anchor_state(anchor, data, pen), data, pen, L0, eta,
-                          max_expansions, max_backtracks,
-                          sufficient_decrease=(criterion == "sufficient_decrease"))
-    return LineSearchResult(out.L, out.candidate, out.trials, out.objective)
-
-
 def _fista_t_next(t: float) -> float:
     return 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
 
@@ -486,7 +426,8 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
-    if opts.variant in ("fista_lip", "fista_vanilla") and pen.kind != L1:
+    policy = _POLICIES[opts.variant]
+    if policy.momentum and pen.kind != L1:
         raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
     if lipschitz is not None and not 0.0 < lipschitz < math.inf:
         raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
@@ -521,47 +462,41 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     trace = Trace(f0=f_prev)
     converged = False
 
-    # Variant state.
     bb_prev: tuple[np.ndarray, np.ndarray] | None = None  # previous (anchor, gradient)
     L_carry = L0
-    w, z_w = beta, z_beta
+    w, z_w = beta, z_beta  # the momentum anchor and its margins
     t_momentum = 1.0
-    is_fista = opts.variant in ("fista_lip", "fista_vanilla")
 
     for k in range(1, opts.max_iters + 1):
-        if is_fista:
-            grad_w = gradient(z_w, w)
+        if policy.momentum:
             # The convex criterion never reads f_anchor, so w's penalty is skipped.
-            out = _forward_search(w, loss_from_margins(z_w, data), None, grad_w, data, pen,
-                                  L_carry, opts.eta, opts.max_backtracks,
-                                  sufficient_decrease=False, rows=rows)
-            L_carry = out.L
+            anchor, z_anchor, l_anchor, f_anchor = w, z_w, loss_from_margins(z_w, data), None
+        else:
+            anchor, z_anchor, l_anchor, f_anchor = beta, z_beta, l_prev, f_prev
+        grad = gradient(z_anchor, anchor)
+        if policy.seed == "carried":
+            L_seed = L_carry
+        elif policy.seed == "bb" and bb_prev is not None:
+            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=lip())
+            L_seed = min(max(L_seed, lip() / _BB_CLAMP), lip() * _BB_CLAMP)
+        else:
+            L_seed = L0
+        bb_prev = (anchor, grad)
+        if policy.reverse:
+            out = _reverse_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
+                                  opts.eta, opts.max_expansions, opts.max_backtracks,
+                                  sufficient, rows=rows)
+        else:
+            out = _forward_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
+                                  opts.eta, opts.max_backtracks, sufficient, rows=rows)
+        L_carry = out.L
+        if policy.momentum:
             diff = out.candidate - beta
-            step_sq = float(diff @ diff)
             t_next = _fista_t_next(t_momentum)
             w, z_w = _extrapolate(out.candidate, out.margins, beta, z_beta,
                                   (t_momentum - 1.0) / t_next)
             t_momentum = t_next
-            out = out._replace(step_sq=step_sq)
-        else:
-            grad = gradient(z_beta, beta)
-            if opts.variant == "ista_bb":
-                if bb_prev is None:
-                    seed = L0
-                else:
-                    seed = bb_stepsize(beta - bb_prev[0], grad - bb_prev[1], fallback=lip())
-                    seed = min(max(seed, lip() / _BB_CLAMP), lip() * _BB_CLAMP)
-                bb_prev = (beta, grad)
-                out = _forward_search(beta, l_prev, f_prev, grad, data, pen, seed,
-                                      opts.eta, opts.max_backtracks, sufficient, rows=rows)
-            elif opts.variant == "ista_reverse":
-                out = _reverse_search(beta, l_prev, f_prev, grad, data, pen, L0,
-                                      opts.eta, opts.max_expansions,
-                                      opts.max_backtracks, sufficient, rows=rows)
-            else:  # ista_vanilla
-                out = _forward_search(beta, l_prev, f_prev, grad, data, pen, L_carry,
-                                      opts.eta, opts.max_backtracks, sufficient, rows=rows)
-                L_carry = out.L
+            out = out._replace(step_sq=float(diff @ diff))
 
         matvecs += 1 + out.evaluations
         beta, z_beta = out.candidate, out.margins
@@ -573,7 +508,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         if converged:
             break
 
-    if opts.variant == "ista_reverse" and len(trace):
+    if policy.reverse and len(trace):
         # Block products round differently from one-row ones: report beta's
         # objective as ``objective`` computes it, for one more product.
         f_prev = loss_from_margins(margins(beta, data, rows), data) + penalty_value(beta, pen)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -291,7 +293,7 @@ class TestArtifactsMatchLibrary:
     def test_bench_config_file(self, tmp_path):
         cfg = tmp_path / "bench.ini"
         cfg.write_text("[bench]\ngrid = 50x6\nrepetitions = 2\n"
-                       "variants = ista_bb\nlambda_frac = 0.2\n"
+                       "variants = ista_bb\n[penalty]\nlambda_frac = 0.2\n"
                        "[solver]\nmax_iters = 2000\n")
         out = str(tmp_path / "run")
         assert main(["bench", "--config", str(cfg), "--out", out]) == EXIT_OK
@@ -313,3 +315,113 @@ class TestTrainDeterminism:
         main(["train", *SYNTH, "--out", b])
         assert read(os.path.join(a, "coefficients.json")) == \
                read(os.path.join(b, "coefficients.json"))
+
+
+# A non-default value per RunConfig field: its INI/flag text and what it parses to.
+FIELD_SAMPLES = {
+    "data_path": ("train.csv", "train.csv"),
+    "data_format": ("libsvm", "libsvm"),
+    "label_column": ("4", 4),
+    "has_header": ("true", True),
+    "add_intercept": ("yes", True),
+    "n_features_hint": ("12", 12),
+    "synth_samples": ("70", 70),
+    "synth_features": ("9", 9),
+    "synth_nonzero": ("2", 2),
+    "synth_noise": ("0.25", 0.25),
+    "synth_seed": ("8", 8),
+    "penalty": ("mcp", "mcp"),
+    "lambda_frac": ("0.3", 0.3),
+    "theta": ("2.5", 2.5),
+    "epsilon": ("0.75", 0.75),
+    "variant": ("fista_lip", "fista_lip"),
+    "eta": ("1.5", 1.5),
+    "l0": ("4", 4.0),
+    "max_iters": ("123", 123),
+    "tol": ("1e-7", 1e-7),
+    "max_backtracks": ("17", 17),
+    "seed": ("6", 6),
+    "beta0": ("random", "random"),
+    "fractions": ("0.5, 0.05", (0.5, 0.05)),
+    "warm_start": ("false", False),
+    "folds": ("3", 3),
+    "cv_seed": ("11", 11),
+    "grid": ("30x4,40x5", ((30, 4), (40, 5))),
+    "repetitions": ("2", 2),
+    "bench_variants": ("ista_vanilla,fista_vanilla", ("ista_vanilla", "fista_vanilla")),
+    "out_dir": ("runs/x", "runs/x"),
+    "trace_every": ("3", 3),
+}
+
+COMMON_OPTIONS = {
+    "-h", "--help", "--config", "--data", "--format", "--label-column", "--has-header",
+    "--add-intercept", "--penalty", "--lambda-frac", "--theta", "--epsilon", "--variant",
+    "--eta", "--l0", "--tol", "--max-iters", "--max-backtracks", "--seed", "--beta0",
+    "--out", "--trace-every", "--synthetic-samples", "--synthetic-features",
+    "--synthetic-nonzero", "--synthetic-noise", "--synthetic-seed",
+}
+SUBCOMMAND_OPTIONS = {
+    "train": COMMON_OPTIONS,
+    "path": COMMON_OPTIONS | {"--fractions", "--warm-start"},
+    "cv": COMMON_OPTIONS | {"--fractions", "--warm-start", "--folds", "--cv-seed"},
+    "bench": COMMON_OPTIONS | {"--grid", "--reps", "--variants"},
+}
+
+
+def config_from(argv):
+    return cli._build_config(cli.build_parser().parse_args(argv))
+
+
+class TestConfigTable:
+    FIELDS = dataclasses.fields(cli.RunConfig)
+
+    def test_one_sample_and_one_key_per_field(self):
+        names = [f.name for f in self.FIELDS]
+        assert len(names) == 32 and set(FIELD_SAMPLES) == set(names)
+        assert len({f.metadata["key"] for f in self.FIELDS}) == 32
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_ini_and_flag_values_reach_the_field(self, field, tmp_path):
+        text, expected = FIELD_SAMPLES[field.name]
+        assert getattr(cli.RunConfig(), field.name) != expected
+        section, key = field.metadata["key"].split(".")
+        ini = tmp_path / "c.ini"
+        ini.write_text(f"[{section}]\n{key} = {text}\n")
+        command = field.metadata["commands"][0]
+        assert getattr(config_from([command, "--config", str(ini)]), field.name) == expected
+        if field.metadata["flag"] is not None:
+            flag = [field.metadata["flag"]] + ([] if field.metadata["switch"] else [text])
+            assert getattr(config_from([command, *flag]), field.name) == expected
+
+    def test_subcommand_options(self):
+        subparsers = next(a for a in cli.build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        seen = {name: {o for a in p._actions for o in a.option_strings}
+                for name, p in subparsers.choices.items()}
+        assert seen == SUBCOMMAND_OPTIONS
+
+    @pytest.mark.parametrize("ini, argv, named", [
+        ("[solver]\nmax_iter = 5\n", [], "unknown config key [solver] max_iter"),
+        ("[penalty]\nlambda_frac = 0.1\n[bench]\nlambda_frac = 0.5\n", [],
+         "unknown config key [bench] lambda_frac"),
+        ("[solvr]\nvariant = ista_bb\n", [], "unknown config section [solvr]"),
+        ("[solver]\nseed = 1\n[DEFAULT]\nseed = 3\n", [], "unknown config section [DEFAULT]"),
+        ("max_iters = 5\n", [], "no section headers"),
+        ("[solver]\nmax_iters = 5\nmax_iters = 6\n", [], "already exists"),
+        ("[solver]\nmax_iters = abc\n", [], "[solver] max_iters: "),
+        ("[solver]\nvariant = nope\n", [], "[solver] variant: "),
+        ("[data]\nhas_header = maybe\n", [], "[data] has_header: "),
+        ("", ["--max-iters", "abc"], "--max-iters: "),
+        ("", ["--variant", "nope"], "--variant: "),
+        ("", ["--lambda-frac", "tenth"], "--lambda-frac: "),
+    ])
+    def test_bad_setting_exits_1_naming_it(self, ini, argv, named, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(ini)
+        code = main(["train", *SYNTH, "--config", str(cfg), *argv,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+        assert not (tmp_path / "run").exists()

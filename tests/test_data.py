@@ -9,9 +9,23 @@ from proxlogit import (
     generate_synthetic,
     load_csv,
     load_libsvm,
-    save_libsvm,
 )
 from proxlogit.logistic import _row_norms
+
+
+def save_libsvm(data, path):
+    """Write a dataset in the sparse "label idx:val" format, zeros omitted.
+
+    Values are written with 17 significant digits, so a reload reproduces the
+    features exactly.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for j in range(data.n_samples):
+            parts = [str(int(data.labels[j]))]
+            col = data.features[:, j]
+            for i in np.nonzero(col)[0]:
+                parts.append(f"{i + 1}:{col[i]:.17g}")
+            fh.write(" ".join(parts) + "\n")
 
 
 def write(path, text):

@@ -15,17 +15,12 @@ from proxlogit import (
     bb_stepsize,
     fit,
     lambda_max,
-    linesearch_convex,
-    linesearch_sufficient_decrease,
     lipschitz_constant,
     loss_gradient,
     loss_value,
     objective,
     penalty_value,
-    prox_step,
     prox_vector,
-    q_upper,
-    reverse_search,
     sigmoid,
 )
 from proxlogit import data as data_module, solver
@@ -33,6 +28,7 @@ from proxlogit.logistic import margins
 from proxlogit.solver import _fista_t_next
 
 from conftest import make_dataset
+from solver_reference import anchor_state, prox_step, q_upper
 
 
 def reference_optimum(data, pen, max_iters=50_000):
@@ -136,42 +132,45 @@ class TestLineSearches:
         L_lip = lipschitz_constant(small_data)
         rng = np.random.default_rng(11)
         anchor = rng.normal(size=small_data.n_features)
-        out = linesearch_convex(anchor, small_data, pen, L_start=1.5 * L_lip,
-                                eta=2.0, max_backtracks=50)
-        assert out.backtracks == 0
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     1.5 * L_lip, 2.0, 50, sufficient_decrease=False)
+        assert out.trials == 0
         assert out.L == 1.5 * L_lip
 
     def test_convex_from_small_seed_bounded(self, small_data):
         pen = Penalty.l1(0.2)
         L_lip = lipschitz_constant(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = linesearch_convex(anchor, small_data, pen, L_start=L_lip / 100,
-                                eta=2.0, max_backtracks=50)
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     L_lip / 100, 2.0, 50, sufficient_decrease=False)
         assert out.L <= 2.0 * L_lip
 
     def test_convex_at_fixed_point(self, small_data):
         lam = 1.5 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = linesearch_convex(anchor, small_data, Penalty.l1(lam), L_start=1e-3,
-                                eta=2.0, max_backtracks=10)
-        assert out.backtracks == 0
+        pen = Penalty.l1(lam)
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     1e-3, 2.0, 10, sufficient_decrease=False)
+        assert out.trials == 0
         np.testing.assert_array_equal(out.candidate, anchor)
 
     def test_convex_exhaustion_raises(self, small_data):
         lam = 0.1 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
+        pen = Penalty.l1(lam)
         with pytest.raises(LineSearchError) as err:
-            linesearch_convex(anchor, small_data, Penalty.l1(lam),
-                              L_start=1e-10, eta=1.01, max_backtracks=1)
+            solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                   1e-10, 1.01, 1, sufficient_decrease=False)
         assert err.value.last_L > 0
 
     def test_sufficient_decrease_at_fixed_point(self, small_data):
         lam = 1.5 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = linesearch_sufficient_decrease(anchor, small_data, Penalty.scad(lam, 3.7),
-                                             L_start=lipschitz_constant(small_data),
-                                             eta=2.0, max_backtracks=10)
-        assert out.backtracks == 0
+        pen = Penalty.scad(lam, 3.7)
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     lipschitz_constant(small_data), 2.0, 10,
+                                     sufficient_decrease=True)
+        assert out.trials == 0
         np.testing.assert_array_equal(out.candidate, anchor)
 
     def test_sufficient_decrease_accepts_at_double_lipschitz(self, small_data):
@@ -179,18 +178,18 @@ class TestLineSearches:
         L_lip = lipschitz_constant(small_data)
         rng = np.random.default_rng(12)
         anchor = rng.normal(scale=0.5, size=small_data.n_features)
-        out = linesearch_sufficient_decrease(anchor, small_data, pen,
-                                             L_start=2.0 * L_lip, eta=2.0, max_backtracks=50)
-        assert out.backtracks == 0
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     2.0 * L_lip, 2.0, 50, sufficient_decrease=True)
+        assert out.trials == 0
 
     def test_sufficient_decrease_implies_descent(self, small_data):
         pen = Penalty.mcp(0.3, 3.0)
         rng = np.random.default_rng(13)
         anchor = rng.normal(size=small_data.n_features)
         f_anchor = objective(anchor, small_data, pen)
-        out = linesearch_sufficient_decrease(anchor, small_data, pen,
-                                             L_start=lipschitz_constant(small_data),
-                                             eta=2.0, max_backtracks=50)
+        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     lipschitz_constant(small_data), 2.0, 50,
+                                     sufficient_decrease=True)
         assert out.objective <= f_anchor
 
 
@@ -199,8 +198,8 @@ class TestReverseSearch:
         pen = Penalty.l1(0.2)
         L0 = lipschitz_constant(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = reverse_search(anchor, small_data, pen, L0=L0, eta=2.0,
-                             criterion="convex", max_expansions=1)
+        out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     L0, 2.0, 1, 100, sufficient_decrease=False)
         assert out.L == L0
 
     def test_convex_base_never_falls_back(self, small_data):
@@ -211,8 +210,8 @@ class TestReverseSearch:
         rng = np.random.default_rng(14)
         for _ in range(5):
             anchor = rng.normal(size=small_data.n_features)
-            out = reverse_search(anchor, small_data, pen, L0=L0, eta=2.0,
-                                 criterion="convex", max_expansions=30)
+            out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data,
+                                         pen, L0, 2.0, 30, 100, sufficient_decrease=False)
             assert out.L <= L0
 
     def test_accepted_step_is_maximal(self, small_data):
@@ -223,8 +222,8 @@ class TestReverseSearch:
         eta, cap = 2.0, 30
         rng = np.random.default_rng(15)
         anchor = rng.normal(size=small_data.n_features)
-        out = reverse_search(anchor, small_data, pen, L0=L0, eta=eta,
-                             criterion="convex", max_expansions=cap)
+        out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data, pen,
+                                     L0, eta, cap, 100, sufficient_decrease=False)
         if out.L > L0 / eta ** (cap - 1):  # budget not exhausted
             L_next = out.L / eta
             cand = prox_step(anchor, small_data, pen, L_next)
@@ -240,8 +239,9 @@ class TestReverseSearch:
         for _ in range(10):
             anchor = rng.normal(size=small_data.n_features)
             f_anchor = objective(anchor, small_data, pen)
-            out = reverse_search(anchor, small_data, pen, L0=L_lip / 64, eta=2.0,
-                                 criterion="sufficient_decrease", max_expansions=20)
+            out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data,
+                                         pen, L_lip / 64, 2.0, 20, 100,
+                                         sufficient_decrease=True)
             diff = out.candidate - anchor
             assert out.objective <= f_anchor - 0.5 * out.L * float(diff @ diff)
 
@@ -266,7 +266,7 @@ class TestReverseSearch:
         scales = self._record_prox_scales(monkeypatch)
         for _ in range(10):
             anchor = rng.normal(size=small_data.n_features)
-            state = solver._anchor_state(anchor, small_data, pen)
+            state = anchor_state(anchor, small_data, pen)
             scales.clear()
             out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
                                          sufficient_decrease=True)
@@ -286,16 +286,16 @@ class TestReverseSearch:
         pen = Penalty.scad(0.2 * lambda_max(small_data), 3.7)
         anchor = np.random.default_rng(16).normal(size=small_data.n_features)
         L0 = lipschitz_constant(small_data) * 2.0 ** -40
+        state = anchor_state(anchor, small_data, pen)
         scales = self._record_prox_scales(monkeypatch)
         with pytest.raises(LineSearchError, match="after 3 backtracks") as err:
-            reverse_search(anchor, small_data, pen, L0=L0, eta=2.0,
-                           criterion="sufficient_decrease", max_backtracks=3)
+            solver._reverse_search(*state, small_data, pen, L0, 2.0, 60, 3,
+                                   sufficient_decrease=True)
         assert scales == ([L0 / 2.0 ** i for i in range(solver._BLOCK)]
                           + [2.0 * L0, 4.0 * L0, 8.0 * L0])
         assert err.value.last_L == 8.0 * L0
         with pytest.raises(LineSearchError) as forward_err:
-            linesearch_sufficient_decrease(anchor, small_data, pen, L_start=L0, eta=2.0,
-                                           max_backtracks=3)
+            solver._forward_search(*state, small_data, pen, L0, 2.0, 3, sufficient_decrease=True)
         assert forward_err.value.last_L == err.value.last_L
 
     @staticmethod
@@ -334,7 +334,7 @@ class TestReverseSearch:
         for _ in range(24):
             anchor = rng.normal(scale=10.0 ** rng.uniform(-2, 0), size=data.n_features)
             L0 = L_lip * 2.0 ** rng.uniform(-1, 3)
-            state = solver._anchor_state(anchor, data, pen)
+            state = anchor_state(anchor, data, pen)
             checks = self.sequential_scan(state, data, pen, L0, eta, cap, sufficient)
             first_fail = len(checks) - 1 if checks[-1][0] > checks[-1][1] else None
             out = solver._reverse_search(*state, data, pen, L0, eta, cap, 100, sufficient)
@@ -362,7 +362,7 @@ class TestReverseSearch:
         # and meets its upper model exactly, so no scale of the ladder fails
         pen = Penalty.l1(1.5 * lambda_max(small_data))
         L0 = lipschitz_constant(small_data)
-        state = solver._anchor_state(np.zeros(small_data.n_features), small_data, pen)
+        state = anchor_state(np.zeros(small_data.n_features), small_data, pen)
         scales = self._record_prox_scales(monkeypatch)
         out = solver._reverse_search(*state, small_data, pen, L0, 2.0, cap, 100,
                                      sufficient_decrease=False)
@@ -375,7 +375,7 @@ class TestReverseSearch:
         pen = Penalty.mcp(0.2 * lambda_max(small_data), 3.0)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            state = solver._anchor_state(rng.normal(size=small_data.n_features),
+            state = anchor_state(rng.normal(size=small_data.n_features),
                                          small_data, pen)
             out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
                                          sufficient_decrease=True)
@@ -385,11 +385,6 @@ class TestReverseSearch:
             assert out.trials == forward.trials and out.objective == forward.objective
             np.testing.assert_array_equal(out.candidate, forward.candidate)
             assert out.evaluations == forward.evaluations + solver._BLOCK - 1
-
-    def test_unknown_criterion(self, small_data):
-        with pytest.raises(ValueError):
-            reverse_search(np.zeros(small_data.n_features), small_data,
-                           Penalty.l1(0.2), L0=1.0, eta=2.0, criterion="magic")
 
 
 class TestFit:
@@ -421,6 +416,17 @@ class TestFit:
             fit(small_data, Penalty.scad(0.3, 3.7), SolverOptions(variant="fista_lip"))
         with pytest.raises(ValueError, match="l1"):
             fit(small_data, Penalty.mcp(0.3, 3.0), SolverOptions(variant="fista_vanilla"))
+
+    @pytest.mark.parametrize("l0", [None, 0.5, 50.0])
+    def test_fista_names_are_one_algorithm(self, small_data, l0):
+        pen = Penalty.l1(0.2 * lambda_max(small_data))
+        lip, vanilla = (fit(small_data, pen, SolverOptions(variant=v, l0=l0))
+                        for v in ("fista_lip", "fista_vanilla"))
+        np.testing.assert_array_equal(lip.beta, vanilla.beta)
+        assert lip.final_objective == vanilla.final_objective
+        assert lip.trace.objectives == vanilla.trace.objectives
+        assert lip.trace.step_scales == vanilla.trace.step_scales
+        assert (lip.matvecs, lip.feature_rows) == (vanilla.matvecs, vanilla.feature_rows)
 
     def test_cross_solver_agreement(self):
         data = make_dataset(seed=77, d=20, n=100)
