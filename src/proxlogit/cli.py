@@ -182,7 +182,7 @@ class RunConfig:
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
     """Map each field the INI file sets to its raw value and "[section] key"."""
     by_key = {f.metadata["key"]: f.name for f in dataclasses.fields(RunConfig)}
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     raw = {}
     try:
         if not cp.read(path):
@@ -263,9 +263,9 @@ def _build_options(cfg: RunConfig, variant: str | None = None) -> SolverOptions:
 
 
 def _ensure_out(cfg: RunConfig) -> str:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     probe = os.path.join(cfg.out_dir, ".write_probe")
     try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
         with open(probe, "w") as fh:
             fh.write("")
         os.remove(probe)
@@ -310,12 +310,12 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
     lam_top = lambda_max(data)
     lam = cfg.lambda_frac * lam_top
     pen = _build_penalty(cfg, lam)
     result = fit(data, pen, _build_options(cfg))
-    out = _ensure_out(cfg)
 
     _write_json(os.path.join(out, "coefficients.json"),
                 _coefficients_payload(result.beta, lam, cfg))
@@ -339,13 +339,13 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_path(cfg: RunConfig) -> int:
+    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
     lam_top = lambda_max(data)
     template = _build_penalty(cfg, lam_top)
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
                     fractions=tuple(sorted(cfg.fractions)), warm_start=cfg.warm_start)
     points = run_path(data, spec)
-    out = _ensure_out(cfg)
 
     with open(os.path.join(out, "path.csv"), "w", encoding="utf-8") as fh:
         fh.write("fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows\n")
@@ -366,12 +366,12 @@ def cmd_path(cfg: RunConfig) -> int:
 def cmd_cv(cfg: RunConfig) -> int:
     if cfg.folds < 2:
         raise CliError("cv needs at least 2 folds")
+    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
     template = _build_penalty(cfg, lambda_max(data))
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
                     fractions=tuple(sorted(cfg.fractions)), warm_start=cfg.warm_start)
     report = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
-    out = _ensure_out(cfg)
 
     by_key = {(c.fraction, c.fold): c for c in report.cells}
     fracs_desc = sorted(spec.fractions, reverse=True)

@@ -11,17 +11,20 @@ second product:
 Sparse coefficients make the margin product cheaper: when at most a quarter
 of beta is nonzero, ``margins`` reads only the feature rows of its support s,
 z = beta[s]' X[s], which differs from the full product by rounding only.  A
-``SupportRows`` holder passed to ``margins`` keeps the gathered rows X[s] and
+``Products`` holder passed to ``margins`` keeps the gathered rows X[s] and
 reuses them while the support stays the same, with the same bits as a fresh
 gather.
 
-An l1 fit makes the gradient product cheaper too.  A ``GradientScreen``
-holder passed to ``gradient_from_margins`` proves, from the last full
+An l1 fit makes the gradient product cheaper too.  A ``GradientScreen`` in
+the holder passed to ``gradient_from_margins`` proves, from the last full
 product, which coordinates of the gradient are below the l1 weight and so
 leave a zero coordinate zero after the soft-threshold; it computes only the
 other rows, one prefix of at most d/4 rows held in slack order.  The
 screened coordinates keep their stale values, which are below the weight
 too; every computed one differs from the full product by rounding only.
+
+A holder also counts the products made through it and the feature rows they
+read; ``Products`` states the rule.
 
 ``margins`` and ``loss_from_margins`` also take a leading block axis: a
 (K, d) block of coefficient rows gives (K, n) margins from one product, and
@@ -31,8 +34,7 @@ one-row products, by rounding only.
 
 ``loss_value`` and ``loss_gradient`` compose them and are bitwise equal to
 composing them by hand.  All functions are pure given immutable inputs and
-safe for concurrent use; a ``SupportRows`` or ``GradientScreen`` holder
-belongs to one caller.
+safe for concurrent use; a ``Products`` holder belongs to one caller.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "GradientScreen",
-    "SupportRows",
+    "Products",
     "gradient_from_margins",
     "lipschitz_constant",
     "loss_from_margins",
@@ -67,6 +69,11 @@ _FLOAT_TINY = float(np.finfo(np.float64).tiny)
 # holds d/4 rows.
 _SPARSE_SHARE = 4
 
+# ``lipschitz_constant`` stops when its estimate has settled to this relative
+# tolerance, or after this many Lanczos steps.
+_LANCZOS_TOL = 1e-8
+_LANCZOS_MAX_ITERS = 1000
+
 
 def sigmoid(z):
     """Elementwise 1 / (1 + exp(-z)) without overflow."""
@@ -79,30 +86,44 @@ def softplus(z):
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-class SupportRows:
-    """The feature rows X[s] of the last support s that ``margins`` gathered.
+class Products:
+    """One caller's products with the feature matrix X, counted as they are made.
 
-    ``margins`` reuses the rows only for an identical support, so a product
-    through a holder has the same bits as one without.  A holder belongs to
-    one sequence of products on one dataset: ``fit`` makes its own and drops
-    it on return, because concurrent fits may share a dataset.  ``read``
-    counts the feature rows the products through the holder read: d for a
-    full product, |s| for a gathered one.  The held rows take at most d/4
-    rows of X.
+    A product is one matrix-vector product with X: a margin product X' b
+    (``margins``) or a gradient product X r (``gradient_from_margins``).  A
+    (K, d) block of coefficient rows makes K margin products.  ``products``
+    counts them and ``read`` counts the feature rows they read, a
+    machine-independent measure of their cost:
+
+    * a full product reads all d rows;
+    * a margin product gathered on a support s reads |s| rows, and a block
+      reads K |s| on the union support s of its rows (all-zero coefficients
+      read none);
+    * a gradient product screened by ``screen`` reads its k computed rows.
+
+    Gathering rows into a copy is not counted.  ``support`` and ``rows`` hold
+    the last gathered rows X[s]; ``margins`` reuses them only for an
+    identical support, so a product through a holder has the same bits as
+    one without.  ``screen`` is the ``GradientScreen`` of an l1 fit, or
+    ``None``.  A holder belongs to one sequence of products on one dataset:
+    ``fit`` makes its own and drops it on return, because concurrent fits may
+    share a dataset.  The held rows take at most d/4 rows of X.
     """
 
-    def __init__(self):
+    def __init__(self, screen: GradientScreen | None = None):
+        self.products = 0
+        self.read = 0
         self.support: np.ndarray | None = None
         self.rows: np.ndarray | None = None
-        self.read = 0
+        self.screen = screen
 
 
 class GradientScreen:
     """Safe screening of the l1 gradient X r: read only rows that can matter.
 
-    An l1 fit with weight ``lam`` passes one holder to every
-    ``gradient_from_margins`` call, after ``at`` has named the anchor, the
-    point whose gradient the call computes.  At a full product
+    An l1 fit with weight ``lam`` keeps one screen in its ``Products``
+    holder, and every ``gradient_from_margins`` call names the anchor, the
+    point whose gradient it computes.  At a full product
     g_ref = X r_ref the holder keeps r_ref, g_ref and the slack
     s_j = (lam - |g_ref_j|) / ||x_j|| of every row.  At a later residual r,
     Cauchy-Schwarz gives |g_j - g_ref_j| <= ||x_j|| ||r - r_ref||, so a row
@@ -126,32 +147,23 @@ class GradientScreen:
     delta is inflated by gamma (||r|| + ||r_ref||) with gamma = 2 (n + 4) eps,
     which bounds the rounding of the two n-term dot products behind g_ref_j
     and behind the g_j a full product would compute, and that of delta and
-    the slack.  A zero row has infinite slack and is never read.  ``read``
-    counts the feature rows the products read: d for a full product and k
-    for a screened one of k rows.  The gather is not counted, as the gather
-    of ``SupportRows`` is not.  ``norms`` are the row norms ||x_j|| of X,
-    which ``Dataset.feature_norms`` computes once per dataset.  A holder
-    belongs to one fit on one dataset; the held rows take at most d/4 rows
-    of X.
+    the slack.  A zero row has infinite slack and is never read.  ``norms``
+    are the row norms ||x_j|| of X, which ``Dataset.feature_norms`` computes
+    once per dataset.  A screen belongs to one fit on one dataset; the held
+    rows take at most d/4 rows of X.
     """
 
     def __init__(self, lam: float, norms: np.ndarray):
         self.lam = float(lam)
-        self.read = 0
-        self.support = np.empty(0, dtype=np.intp)  # the anchor's nonzeros
-        self.rows: np.ndarray | None = None        # held rows, by ascending slack
+        self.rows: np.ndarray | None = None  # held rows, by ascending slack
         self._norms = norms
 
-    def at(self, anchor) -> GradientScreen:
-        """Name the anchor of the next gradient; returns the holder."""
-        self.support = np.flatnonzero(anchor)
-        return self
-
-    def product(self, X: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """X r at the anchor named by ``at``, screened when a reference allows."""
+    def product(self, X: np.ndarray, r: np.ndarray, anchor) -> tuple[np.ndarray, int]:
+        """X r at ``anchor``, screened when a reference allows, and the rows read."""
+        support = np.flatnonzero(anchor)
         if self.rows is not None:
-            if self.support.size:
-                self._cover = max(self._cover, int(self._position[self.support].max()) + 1)
+            if support.size:
+                self._cover = max(self._cover, int(self._position[support].max()) + 1)
             gamma = 2 * (r.size + 4) * _FLOAT_EPS
             delta = (float(np.linalg.norm(r - self._r_ref))
                      + gamma * (float(np.linalg.norm(r)) + self._r_ref_norm))
@@ -160,22 +172,21 @@ class GradientScreen:
                 if k < len(self.rows):
                     g = self._g_ref.copy()
                     g[self._index[:k]] = self.rows[:k] @ r
-                    self.read += k
-                    return g
+                    return g, k
         g = X @ r
-        self.read += X.shape[0]
-        self._rebase(X, r, g)
-        return g
+        self._rebase(X, r, g, support)
+        return g, X.shape[0]
 
-    def _rebase(self, X: np.ndarray, r: np.ndarray, g: np.ndarray) -> None:
+    def _rebase(self, X: np.ndarray, r: np.ndarray, g: np.ndarray,
+                support: np.ndarray) -> None:
         d = X.shape[0]
         held = d // _SPARSE_SHARE
         self.rows = None  # drop the old rows before gathering the new ones
-        if self.support.size >= held or not np.all(np.isfinite(g)):
+        if support.size >= held or not np.all(np.isfinite(g)):
             return
         with np.errstate(divide="ignore"):
             slack = (self.lam - np.abs(g)) / self._norms
-        slack[self.support] = -np.inf
+        slack[support] = -np.inf
         index = np.argpartition(slack, held - 1)[:held]
         index = index[np.argsort(slack[index], kind="stable")]
         self._position = np.full(d, held)
@@ -183,7 +194,7 @@ class GradientScreen:
         self._index, self._slack = index, slack[index]
         self._g_ref, self._r_ref = g.copy(), r
         self._r_ref_norm = float(np.linalg.norm(r))
-        self._cover = self.support.size
+        self._cover = support.size
         self.rows = X[index]
 
 
@@ -201,19 +212,20 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     return norms
 
 
-def margins(beta, data: Dataset, rows: SupportRows | None = None) -> np.ndarray:
+def margins(beta, data: Dataset, holder: Products | None = None) -> np.ndarray:
     """Margins z_i = x_i' beta of every sample: one product X' beta.
 
     When at most a quarter of beta is nonzero (-0.0 counts as zero), the
     product reads only the rows of the support s = flatnonzero(beta),
     z = beta[s] @ X[s]; it then differs from the full product by rounding,
     and an all-zero beta gives exact +0.0.  Below a quarter the gather and
-    the smaller product cost less than the full product.  ``rows`` holds the
-    gathered rows for reuse by the next product on the same support.
+    the smaller product cost less than the full product.  ``holder`` keeps
+    the gathered rows for reuse by the next product on the same support, and
+    counts the products and rows read (see ``Products``).
 
     A (K, d) block of coefficient rows gives the (K, n) margins of every row
     from one product, on the union support of the rows when it is at most a
-    quarter of d; it reads K rows of X for each one it takes part in.
+    quarter of d.
     """
     beta = np.asarray(beta, dtype=np.float64)
     d = data.n_features
@@ -224,18 +236,21 @@ def margins(beta, data: Dataset, rows: SupportRows | None = None) -> np.ndarray:
     block = beta.ndim == 2
     nonzero = beta.any(axis=0) if block else beta
     if _SPARSE_SHARE * np.count_nonzero(nonzero) > d:
-        if rows is not None:
-            rows.read += beta.size
-        return beta @ X
-    s = np.flatnonzero(nonzero)
-    coefficients = beta[:, s] if block else beta[s]
-    if rows is None:
-        return coefficients @ X[s]
-    rows.read += coefficients.size
-    if rows.support is None or not np.array_equal(s, rows.support):
-        rows.rows = None  # drop the old rows before gathering the new ones
-        rows.support, rows.rows = s, X[s]
-    return coefficients @ rows.rows
+        coefficients, rows = beta, X
+    else:
+        s = np.flatnonzero(nonzero)
+        coefficients = beta[:, s] if block else beta[s]
+        if holder is None:
+            rows = X[s]
+        else:
+            if holder.support is None or not np.array_equal(s, holder.support):
+                holder.rows = None  # drop the old rows before gathering the new ones
+                holder.support, holder.rows = s, X[s]
+            rows = holder.rows
+    if holder is not None:
+        holder.products += len(beta) if block else 1
+        holder.read += coefficients.size
+    return coefficients @ rows
 
 
 def loss_from_margins(z, data: Dataset) -> float | np.ndarray:
@@ -248,19 +263,26 @@ def loss_from_margins(z, data: Dataset) -> float | np.ndarray:
     return total if terms.ndim > 1 else float(total)
 
 
-def gradient_from_margins(z, data: Dataset,
-                          screen: GradientScreen | None = None) -> np.ndarray:
+def gradient_from_margins(z, data: Dataset, holder: Products | None = None,
+                          anchor=None) -> np.ndarray:
     """Gradient X (sigmoid(z) - y) of the negative log-likelihood at margins z.
 
-    With a ``screen`` (l1 fits only) the product reads only the rows whose
-    coordinates can enter the support of the next soft-threshold step; the
-    others keep the values of the screen's last full product (see
-    ``GradientScreen``).  Either way it is one product.
+    ``holder`` counts the product and the rows it read (see ``Products``).
+    When it holds a screen (l1 fits only), the product reads only the rows
+    whose coordinates can enter the support of the soft-threshold step from
+    ``anchor``, the point at margins z; the others keep the values of the
+    screen's last full product (see ``GradientScreen``).
     """
     r = sigmoid(z) - data.labels
-    if screen is None:
-        return data.features @ r
-    return screen.product(data.features, r)
+    X = data.features
+    if holder is None or holder.screen is None:
+        g, read = X @ r, X.shape[0]
+    else:
+        g, read = holder.screen.product(X, r, anchor)
+    if holder is not None:
+        holder.products += 1
+        holder.read += read
+    return g
 
 
 def loss_value(beta, data: Dataset) -> float:
@@ -355,20 +377,16 @@ def _top_eigenvalue(X: np.ndarray, tol: float, max_iters: int):
     return top, [h / s / s for h in history]
 
 
-def lipschitz_constant(data: Dataset, tol: float = 1e-8, max_iters: int = 1000) -> float:
+def lipschitz_constant(data: Dataset) -> float:
     """Gradient Lipschitz constant, a quarter of the top eigenvalue of X X'.
 
-    Estimated by Lanczos from a seeded random start, at most ``max_iters``
-    product pairs, until the estimate has settled to ``tol`` relative.  A
-    zero feature matrix returns 0.0 with a warning (no step size can be
-    derived from it); features so large or so small that the constant over-
-    or underflows float64 raise ``ValueError``.
+    Estimated by Lanczos from a seeded random start, at most
+    ``_LANCZOS_MAX_ITERS`` product pairs, until the estimate has settled to
+    ``_LANCZOS_TOL`` relative.  A zero feature matrix returns 0.0 with a
+    warning (no step size can be derived from it); features so large or so
+    small that the constant over- or underflows float64 raise ``ValueError``.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be at least 1")
-    top, _ = _top_eigenvalue(data.features, tol, max_iters)
+    top, _ = _top_eigenvalue(data.features, _LANCZOS_TOL, _LANCZOS_MAX_ITERS)
     if top == 0.0:
         warnings.warn("feature matrix has no positive spectrum; returning 0", stacklevel=2)
     return 0.25 * top

@@ -29,32 +29,27 @@ The margins z = X' beta are carried with the iterate.  Each line-search trial
 computes its candidate's margins with one product, and the accepted
 candidate's margins give the next gradient X (sigmoid(z) - y) for one more
 product.  FISTA's extrapolated point w = c + m (c - c_prev) gets its margins
-by linearity, z_w = z_c + m (z_c - z_prev), at no product.  A fit therefore
-makes one product for the starting point plus, per iteration, one for the
-gradient and one per evaluated candidate; ``FitResult.matvecs`` reports the
-total, leaving out the products of the Lipschitz estimate.  The reverse
+by linearity, z_w = z_c + m (z_c - z_prev), at no product.  The reverse
 search evaluates its ladder of scales L0, L0/eta, ... in blocks of
 ``_BLOCK`` = 6 candidates, each with one prox over a (6, d) block, one
 (6, d) by (d, n) product and one loss: per-call overhead dominates
-one-candidate kernels at the sizes of a typical fit.  Each row of a block
-counts as one evaluated candidate.  A block product rounds differently from
-a one-row product, so iterates differ from a one-at-a-time scan by rounding,
-and a reverse fit recomputes the objective of the coefficients it returns
-with one-row kernels, for one more product.  A margin product
-of a point with at most a quarter of its coefficients nonzero reads only the
-feature rows of its support (see ``logistic.margins``).  Each fit keeps the
-last gathered rows in its own ``SupportRows`` holder and reuses them while
-the support stays the same, which it often does from one trial to the next.
-An l1 fit also screens its gradient products with its own
-``GradientScreen``: a product reads only the rows whose coordinates can
+one-candidate kernels at the sizes of a typical fit.  A block product rounds
+differently from a one-row product, so iterates differ from a one-at-a-time
+scan by rounding, and a reverse fit recomputes the objective of the
+coefficients it returns with one-row kernels.  A margin product of a point
+with at most a quarter of its coefficients nonzero reads only the feature
+rows of its support (see ``logistic.margins``), and an l1 fit screens its
+gradient products: a product reads only the rows whose coordinates can
 become nonzero in the next soft-threshold step, as a sphere test around the
 last full product proves, and the other coordinates, which every candidate
-leaves at zero, keep their values from that product.  The nonconvex
-penalties always read every row, because their prox zero region is not
-|u| <= lam/L.  A gathered or screened product still counts as one matvec;
-``FitResult.feature_rows`` counts the rows the products read.  The fit clock
-starts on entry to ``fit``, so ``Trace.times`` includes the Lipschitz
-estimate and the other set-up.
+leaves at zero, keep their values from that product (see
+``logistic.GradientScreen``).  The nonconvex penalties always read every
+row, because their prox zero region is not |u| <= lam/L.  Each fit passes
+its own ``logistic.Products`` holder to every product it makes; the holder
+reuses gathered support rows, which often stay the same from one trial to
+the next, and counts the products and the rows they read by the rule stated
+there.  The fit clock starts on entry to ``fit``, so ``Trace.times``
+includes the Lipschitz estimate and the other set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -71,7 +66,7 @@ from typing import NamedTuple, TYPE_CHECKING
 
 import numpy as np
 
-from .logistic import (GradientScreen, SupportRows, gradient_from_margins,
+from .logistic import (GradientScreen, Products, gradient_from_margins,
                        lipschitz_constant, loss_from_margins, loss_value, margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
@@ -118,6 +113,9 @@ NNZ_TOL = 1e-10
 # The BB seed is clamped to this window around the Lipschitz constant.
 _BB_CLAMP = 1e12
 
+# A reverse search tries at most this many scales L0 / eta**i.
+_MAX_EXPANSIONS = 60
+
 
 def nonzero_count(beta) -> int:
     return int(np.count_nonzero(np.abs(np.asarray(beta)) > NNZ_TOL))
@@ -148,7 +146,6 @@ class SolverOptions:
     max_iters: int = 10_000
     tol: float = 1e-9
     max_backtracks: int = 100
-    max_expansions: int = 60
     seed: int = 0
     beta0: str | np.ndarray = "zeros"
 
@@ -165,8 +162,6 @@ class SolverOptions:
             raise ValueError("tol must be nonnegative")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
-        if self.max_expansions < 1:
-            raise ValueError("max_expansions must be at least 1")
         if isinstance(self.beta0, str) and self.beta0 not in ("zeros", "random"):
             raise ValueError(f"beta0 must be 'zeros', 'random', or a vector, got {self.beta0!r}")
 
@@ -218,17 +213,13 @@ class FitResult:
     was given, or ``None`` when it neither needed nor received one; pass it
     as ``fit(..., lipschitz=)`` to a later fit on the same features to skip
     the estimate.  ``matvecs`` is the number of products with the feature
-    matrix (X' b or X r) the fit made, Lipschitz estimate excluded: 1 for the
-    starting point plus, per iteration, 1 for the gradient and 1 per
-    evaluated candidate.  An ``ista_reverse`` search evaluates blocks of 6
-    candidates, each row counting as one, and a reverse fit of at least one
-    iteration adds 1 for recomputing ``final_objective`` with one-row
-    kernels.  A margin product that reads only the rows of a
-    sparse point's support counts as one too, and so does an l1 gradient
-    product that reads only the rows its screen keeps.  ``feature_rows`` is
-    the number of feature rows those products read, a machine-independent
-    measure of their cost: d per full product, |s| per margin product
-    gathered on a support s and k per gradient product screened to k rows.
+    matrix (X' b or X r) the fit made, Lipschitz estimate excluded, and
+    ``feature_rows`` the number of feature rows they read; both are counted
+    by the rule of ``logistic.Products``.  Per iteration a fit makes one
+    gradient product and one margin product per evaluated candidate, each
+    row of an ``ista_reverse`` block included; it also makes one for the
+    starting point and, in a reverse fit of at least one iteration, one for
+    recomputing ``final_objective`` with one-row kernels.
     """
 
     beta: np.ndarray
@@ -277,8 +268,7 @@ class _SearchOutcome(NamedTuple):
     L: float
     candidate: np.ndarray
     margins: np.ndarray  # X' candidate, which the next gradient reuses
-    trials: int          # criterion evaluations beyond the first
-    evaluations: int     # candidates evaluated, one product X' candidate each
+    trials: int          # criterion tests beyond the first
     loss: float
     objective: float
     step_sq: float
@@ -290,7 +280,7 @@ class _SearchOutcome(NamedTuple):
         not keep the whole block alive.
         """
         return _SearchOutcome(float(self.L[i]), self.candidate[i].copy(), self.margins[i],
-                              self.trials, self.evaluations, float(self.loss[i]),
+                              self.trials, float(self.loss[i]),
                               float(self.objective[i]), float(self.step_sq[i]))
 
 
@@ -299,51 +289,50 @@ _BLOCK = 6
 
 
 def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                   sufficient_decrease: bool, rows=None):
+                   sufficient_decrease: bool, holder=None):
     """Evaluate the proximal candidate at scale L with one product X' candidate.
 
     ``L`` is a float, or a (K, 1) column of scales for a block of K
     candidates, evaluated with one prox, one product and one loss over the
-    block; ``ok`` and the outcome's fields other than ``trials`` and
-    ``evaluations`` then hold one entry per row (see ``_SearchOutcome.row``).
-    ``f_anchor`` is read only by the sufficient-decrease criterion; ``rows``
-    is the caller's ``SupportRows`` holder, if any.  The outcome counts as
-    the first trial and as K evaluations; searches set ``trials`` and
-    ``evaluations``.
+    block; ``ok`` and the outcome's fields other than ``trials`` then hold
+    one entry per row (see ``_SearchOutcome.row``).  ``f_anchor`` is read
+    only by the sufficient-decrease criterion; ``holder`` is the caller's
+    ``Products`` holder, if any.  The outcome counts as the first trial;
+    searches set ``trials``.
     """
     cand = prox_vector(anchor - grad_anchor / L, pen, L)
-    z_cand = margins(cand, data, rows)
+    z_cand = margins(cand, data, holder)
     l_cand = loss_from_margins(z_cand, data)
     pen_cand = penalty_value(cand, pen)
     f_cand = l_cand + pen_cand
     diff = cand - anchor
     if diff.ndim == 1:
-        step_sq, evaluations = float(diff @ diff), 1
+        step_sq = float(diff @ diff)
     else:
         L = L[:, 0]
-        step_sq, evaluations = np.einsum("ij,ij->i", diff, diff), L.size
+        step_sq = np.einsum("ij,ij->i", diff, diff)
     if sufficient_decrease:
         ok = f_cand <= f_anchor - 0.5 * L * step_sq
     else:
         model = l_anchor + diff @ grad_anchor + 0.5 * L * step_sq + pen_cand
         ok = f_cand <= model
-    return ok, _SearchOutcome(L, cand, z_cand, 0, evaluations, l_cand, f_cand, step_sq)
+    return ok, _SearchOutcome(L, cand, z_cand, 0, l_cand, f_cand, step_sq)
 
 
 def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L_start, eta, max_backtracks, sufficient_decrease,
-                    tried: int = 0, rows=None) -> _SearchOutcome:
+                    tried: int = 0, holder=None) -> _SearchOutcome:
     """Grow L from ``L_start`` by ``eta`` until a candidate passes.
 
     ``tried`` counts the trials already made on this anchor; they count
-    toward ``max_backtracks`` and the outcome's ``trials`` and ``evaluations``.
+    toward ``max_backtracks`` and the outcome's ``trials``.
     """
     L = float(L_start)
     for i in range(tried, max_backtracks + 1):
         ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                                 sufficient_decrease, rows)
+                                 sufficient_decrease, holder)
         if ok:
-            return out._replace(trials=i, evaluations=i + 1)
+            return out._replace(trials=i)
         L *= eta
     raise LineSearchError(
         f"line search failed after {max_backtracks} backtracks (last L = {L / eta:g})",
@@ -352,34 +341,33 @@ def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
 
 def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
                     L0, eta, max_expansions, max_backtracks,
-                    sufficient_decrease, rows=None) -> _SearchOutcome:
+                    sufficient_decrease, holder=None) -> _SearchOutcome:
     """Shrink L from ``L0`` by ``eta`` while candidates pass; keep the last passing one.
 
     The ladder L0 / eta**i, i < ``max_expansions``, is evaluated in blocks of
     ``_BLOCK`` scales.  The search accepts the scale before the first failing
     one, as a scan one scale at a time would, or the last scale when none
-    fails; the rows of a block past the first failure are evaluated too and
-    count in ``evaluations``.  ``trials`` is the index of the accepted scale.
+    fails; the rows of a block past the first failure are evaluated too.
+    ``trials`` is the index of the accepted scale.
     """
     for start in range(0, max_expansions, _BLOCK):
         scales = np.array([L0 / eta ** i
                            for i in range(start, min(start + _BLOCK, max_expansions))])
         ok, block = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                                   scales[:, np.newaxis], sufficient_decrease, rows)
+                                   scales[:, np.newaxis], sufficient_decrease, holder)
         failed = np.flatnonzero(~ok)
         if start == 0 and failed.size and failed[0] == 0:
             # The base step already violates (possible under sufficient
             # decrease); grow forward from the rejected L0 instead.
-            out = _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
-                                  pen, L0 * eta, eta, max_backtracks,
-                                  sufficient_decrease, tried=1, rows=rows)
-            return out._replace(evaluations=out.evaluations + scales.size - 1)
+            return _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
+                                   pen, L0 * eta, eta, max_backtracks,
+                                   sufficient_decrease, tried=1, holder=holder)
         passed = failed[0] if failed.size else scales.size
         if passed:
             accepted = block.row(passed - 1)._replace(trials=start + passed - 1)
         if failed.size:
             break
-    return accepted._replace(evaluations=start + scales.size)
+    return accepted
 
 
 def _fista_t_next(t: float) -> float:
@@ -447,16 +435,9 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
 
     sufficient = pen.kind != L1
     beta = _initial_beta(opts, data.n_features)
-    rows = SupportRows()  # this fit's gathered support rows, dropped on return
-    screen = GradientScreen(pen.lam, data.feature_norms) if pen.kind == L1 else None  # likewise
-
-    def gradient(z, anchor):
-        if screen is None:
-            return gradient_from_margins(z, data)
-        return gradient_from_margins(z, data, screen.at(anchor))
-
-    z_beta = margins(beta, data, rows)  # carried with beta; the one product outside the loop
-    matvecs = 1
+    # This fit's products and their counts; dropped on return.
+    holder = Products(GradientScreen(pen.lam, data.feature_norms) if pen.kind == L1 else None)
+    z_beta = margins(beta, data, holder)  # carried with beta
     l_prev = loss_from_margins(z_beta, data)
     f_prev = l_prev + penalty_value(beta, pen)
     trace = Trace(f0=f_prev)
@@ -473,7 +454,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
             anchor, z_anchor, l_anchor, f_anchor = w, z_w, loss_from_margins(z_w, data), None
         else:
             anchor, z_anchor, l_anchor, f_anchor = beta, z_beta, l_prev, f_prev
-        grad = gradient(z_anchor, anchor)
+        grad = gradient_from_margins(z_anchor, data, holder, anchor)
         if policy.seed == "carried":
             L_seed = L_carry
         elif policy.seed == "bb" and bb_prev is not None:
@@ -484,11 +465,11 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         bb_prev = (anchor, grad)
         if policy.reverse:
             out = _reverse_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
-                                  opts.eta, opts.max_expansions, opts.max_backtracks,
-                                  sufficient, rows=rows)
+                                  opts.eta, _MAX_EXPANSIONS, opts.max_backtracks,
+                                  sufficient, holder=holder)
         else:
             out = _forward_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
-                                  opts.eta, opts.max_backtracks, sufficient, rows=rows)
+                                  opts.eta, opts.max_backtracks, sufficient, holder=holder)
         L_carry = out.L
         if policy.momentum:
             diff = out.candidate - beta
@@ -498,7 +479,6 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
             t_momentum = t_next
             out = out._replace(step_sq=float(diff @ diff))
 
-        matvecs += 1 + out.evaluations
         beta, z_beta = out.candidate, out.margins
         trace.append(k, out.objective, out.L, out.trials, nonzero_count(beta),
                      time.perf_counter() - start, out.step_sq)
@@ -511,11 +491,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     if policy.reverse and len(trace):
         # Block products round differently from one-row ones: report beta's
         # objective as ``objective`` computes it, for one more product.
-        f_prev = loss_from_margins(margins(beta, data, rows), data) + penalty_value(beta, pen)
-        matvecs += 1
-    # Every iteration made one gradient product besides its margin products,
-    # a full one unless the screen read fewer rows.
-    gradient_rows = data.n_features * len(trace) if screen is None else screen.read
+        f_prev = loss_from_margins(margins(beta, data, holder), data) + penalty_value(beta, pen)
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
-                     lipschitz=lip_cache.get("L"), matvecs=matvecs,
-                     feature_rows=rows.read + gradient_rows)
+                     lipschitz=lip_cache.get("L"), matvecs=holder.products,
+                     feature_rows=holder.read)

@@ -425,3 +425,36 @@ class TestConfigTable:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "run").exists()
+
+
+class TestOutputCheckedFirst:
+    @pytest.mark.parametrize("command, solve", [
+        ("train", "fit"), ("path", "run_path"), ("cv", "cross_validate")])
+    def test_unusable_out_exits_1_before_solving(self, command, solve, tmp_path, capsys,
+                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, solve, lambda *args, **kwargs: calls.append(args))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = str(blocker / "sub")  # below a regular file: cannot be made
+        code = main([command, *SYNTH, "--out", out])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: output directory {out!r} is not writable")
+        assert calls == []
+
+
+class TestConfigValuesAreLiteral:
+    def test_percent_sign_is_read_as_written(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[data]\nformat = csv\npath = runs/50%/x.csv\n")
+        code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == "error: dataset file not found: runs/50%/x.csv\n"
+
+    def test_double_percent_is_two_characters(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[data]\npath = a%%b.csv\n")
+        assert config_from(["train", "--config", str(cfg)]).data_path == "a%%b.csv"

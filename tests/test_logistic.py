@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
 from proxlogit.logistic import (
     GradientScreen,
-    SupportRows,
+    Products,
     _row_norms,
     _top_eigenvalue,
     gradient_from_margins,
@@ -155,29 +155,29 @@ class TestGatheredMargins:
         beta = sparse_beta(rng, d, k)
         full = beta @ data.features
         bound = 1e-12 * (np.abs(beta) @ np.abs(data.features))
-        for z in (margins(beta, data), margins(beta, data, SupportRows())):
+        for z in (margins(beta, data), margins(beta, data, Products())):
             assert z.shape == (n,)
             assert np.all(np.abs(z - full) <= bound)
 
     def test_zero_beta_gives_positive_zeros(self, small_data):
         for beta in (np.zeros(small_data.n_features), np.full(small_data.n_features, -0.0)):
-            rows = SupportRows()
-            z = margins(beta, small_data, rows)
+            holder = Products()
+            z = margins(beta, small_data, holder)
             assert z.shape == (small_data.n_samples,)
             assert np.all(z == 0.0) and not np.any(np.signbit(z))
-            assert rows.read == 0
+            assert holder.read == 0 and holder.products == 1
 
     def test_negative_zeros_count_as_zero(self, small_data):
         d = small_data.n_features
         beta = np.full(d, -0.0)
         beta[:d // 4] = 1.5
-        rows = SupportRows()
-        margins(beta, small_data, rows)
-        assert rows.read == d // 4
-        np.testing.assert_array_equal(rows.support, np.arange(d // 4))
+        holder = Products()
+        margins(beta, small_data, holder)
+        assert holder.read == d // 4
+        np.testing.assert_array_equal(holder.support, np.arange(d // 4))
         beta[d // 4] = 1.5  # one more nonzero crosses a quarter: the full product
-        margins(beta, small_data, rows)
-        assert rows.read == d // 4 + d
+        margins(beta, small_data, holder)
+        assert holder.read == d // 4 + d and holder.products == 2
 
     def test_holder_reuse_is_bitwise_equal_to_fresh_gather(self):
         data = make_dataset(seed=34, d=64, n=50)
@@ -190,17 +190,18 @@ class TestGatheredMargins:
             list(range(0, 64, 2)),         # dense: the full product
             [3, 20], [3, 20, 61], [],      # back to sparse, then zero
         ]
-        rows = SupportRows()
+        holder = Products()
         read = 0
         for _ in range(3):
             for support in supports:
                 beta = np.zeros(data.n_features)
                 beta[support] = rng.normal(size=len(support))
-                z = margins(beta, data, rows)
+                z = margins(beta, data, holder)
                 np.testing.assert_array_equal(z.view(np.uint64),
                                               margins(beta, data).view(np.uint64))
                 read += len(support) if 4 * len(support) <= data.n_features else data.n_features
-                assert rows.read == read
+                assert holder.read == read
+        assert holder.products == 3 * len(supports)
 
 
 class TestBlockMargins:
@@ -213,23 +214,24 @@ class TestBlockMargins:
         cols = rng.choice(64, size=union, replace=False)
         B[:, cols] = rng.normal(size=(6, union)) * (rng.uniform(size=(6, union)) < 0.7)
         B[:, cols[:1]] = 1.0  # each row reaches the whole union
-        rows = SupportRows()
-        Z = margins(B, data, rows)
+        holder = Products()
+        Z = margins(B, data, holder)
         assert Z.shape == (6, 50)
-        assert rows.read == 6 * (union if 4 * union <= 64 else 64)
+        assert holder.read == 6 * (union if 4 * union <= 64 else 64)
+        assert holder.products == 6
         for b, z in zip(B, Z):
             bound = 1e-12 * (np.abs(b) @ np.abs(data.features))
             assert np.all(np.abs(z - margins(b, data)) <= bound)
         if 0 < 4 * union <= 64:
-            np.testing.assert_array_equal(rows.support, np.sort(cols))
-            np.testing.assert_array_equal(Z, B[:, rows.support] @ data.features[rows.support])
+            np.testing.assert_array_equal(holder.support, np.sort(cols))
+            np.testing.assert_array_equal(Z, B[:, holder.support] @ data.features[holder.support])
             np.testing.assert_array_equal(margins(B, data), Z)  # no holder, same bits
 
     def test_zero_block_gives_positive_zeros(self, small_data):
-        rows = SupportRows()
-        Z = margins(np.full((3, small_data.n_features), -0.0), small_data, rows)
+        holder = Products()
+        Z = margins(np.full((3, small_data.n_features), -0.0), small_data, holder)
         assert np.all(Z == 0.0) and not np.any(np.signbit(Z))
-        assert rows.read == 0
+        assert holder.read == 0 and holder.products == 3
 
     def test_loss_rows_bitwise_equal_to_one_row_losses(self, small_data):
         rng = np.random.default_rng(38)
@@ -245,15 +247,35 @@ class TestBlockMargins:
             margins(np.zeros(shape), small_data)
 
 
+class TestGradientProducts:
+    def test_holder_counts_one_full_product(self, small_data):
+        z = margins(np.random.default_rng(39).normal(size=small_data.n_features), small_data)
+        holder = Products()
+        g = gradient_from_margins(z, small_data, holder, np.zeros(small_data.n_features))
+        np.testing.assert_array_equal(g, gradient_from_margins(z, small_data))
+        assert holder.products == 1 and holder.read == small_data.n_features
+
+    def test_screened_product_counts_the_rows_it_read(self):
+        data = make_dataset(seed=42, d=40, n=30)
+        holder = Products(GradientScreen(1e6, _row_norms(data.features)))
+        zero = np.zeros(data.n_features)
+        z = np.random.default_rng(43).normal(size=data.n_samples)
+        full = gradient_from_margins(z, data, holder, zero)  # the reference
+        screened = gradient_from_margins(z + 1e-9, data, holder, zero)  # reads no row
+        np.testing.assert_array_equal(screened, full)
+        assert holder.products == 2 and holder.read == data.n_features
+
+
 class TestGradientScreen:
     @staticmethod
     def referenced(lam, d=40, n=30, seed=40):
         """A screen that has taken its reference at a zero anchor, with X and r."""
         rng = np.random.default_rng(seed)
         X, r = rng.normal(size=(d, n)), rng.uniform(-0.5, 0.5, size=n)
-        screen = GradientScreen(lam, _row_norms(X)).at(np.zeros(d))
-        np.testing.assert_array_equal(screen.product(X, r), X @ r)
-        assert screen.read == d and screen.rows.shape == (d // 4, n)
+        screen = GradientScreen(lam, _row_norms(X))
+        g, read = screen.product(X, r, np.zeros(d))
+        np.testing.assert_array_equal(g, X @ r)
+        assert read == d and screen.rows.shape == (d // 4, n)
         return screen, X, r
 
     def test_row_within_rounding_of_lam_is_read(self):
@@ -264,24 +286,27 @@ class TestGradientScreen:
         g = rng.normal(size=(d, 30)) @ rng.uniform(-0.5, 0.5, size=30)
         top = int(np.argmax(np.abs(g)))
         screen, X, r = self.referenced(abs(g[top]) * (1 + 8 * np.finfo(float).eps))
-        out = screen.product(X, r.copy())
-        assert screen.read == d + 1
+        out, read = screen.product(X, r.copy(), np.zeros(d))
+        assert read == 1
         assert out[top] == pytest.approx(g[top], rel=1e-14)
 
     def test_far_residual_takes_full_product(self):
         screen, X, r = self.referenced(lam=1e3)
+        zero = np.zeros(40)
         near = r + 1e-9  # every slack exceeds delta: nothing to read
-        np.testing.assert_array_equal(screen.product(X, near), X @ r)
-        assert screen.read == 40
+        g, read = screen.product(X, near, zero)
+        np.testing.assert_array_equal(g, X @ r)
+        assert read == 0
         far = 1e4 * r  # every held row is within reach: the full product
-        np.testing.assert_array_equal(screen.product(X, far), X @ far)
-        assert screen.read == 80
+        g, read = screen.product(X, far, zero)
+        np.testing.assert_array_equal(g, X @ far)
+        assert read == 40
 
     def test_non_finite_residual_takes_full_product(self):
         screen, X, r = self.referenced(lam=1.0)
         r[0] = np.nan
-        out = screen.product(X, r)
-        assert screen.read == 2 * 40
+        out, read = screen.product(X, r, np.zeros(40))
+        assert read == 40
         assert np.all(np.isnan(out)) and screen.rows is None
 
     def test_dense_anchor_takes_no_reference(self):
@@ -289,17 +314,19 @@ class TestGradientScreen:
         X, r = rng.normal(size=(40, 30)), rng.uniform(-0.5, 0.5, size=30)
         anchor = np.zeros(40)
         anchor[:10] = 1.0  # a quarter of the coordinates
-        screen = GradientScreen(1e6, _row_norms(X)).at(anchor)
-        for i in range(3):
-            np.testing.assert_array_equal(screen.product(X, r), X @ r)
-            assert screen.read == 40 * (i + 1) and screen.rows is None
+        screen = GradientScreen(1e6, _row_norms(X))
+        for _ in range(3):
+            g, read = screen.product(X, r, anchor)
+            np.testing.assert_array_equal(g, X @ r)
+            assert read == 40 and screen.rows is None
 
     def test_anchor_outside_held_rows_takes_full_product(self):
         screen, X, r = self.referenced(lam=1e6)  # every slack is huge
         anchor = np.zeros(40)
         anchor[np.setdiff1d(np.arange(40), screen._index)[0]] = 1.0
-        np.testing.assert_array_equal(screen.at(anchor).product(X, r), X @ r)
-        assert screen.read == 2 * 40
+        g, read = screen.product(X, r, anchor)
+        np.testing.assert_array_equal(g, X @ r)
+        assert read == 40
 
     def test_row_norms_guard_underflow(self):
         X = np.array([[3.0, 4.0], [0.0, 0.0], [1e-170, 0.0], [0.0, -1e-300]])
@@ -402,9 +429,3 @@ class TestLipschitzConstant:
         data = Dataset(features, np.array([1.0, 0.0, 1.0, 0.0]))
         with pytest.raises(ValueError, match="feature scale"):
             lipschitz_constant(data)
-
-    def test_parameter_validation(self, small_data):
-        with pytest.raises(ValueError):
-            lipschitz_constant(small_data, tol=0.0)
-        with pytest.raises(ValueError):
-            lipschitz_constant(small_data, max_iters=0)

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import types
 
 import proxlogit
@@ -30,3 +32,13 @@ def test_module_exports_are_package_names():
 def test_variants_keep_their_names_and_order():
     assert solver.VARIANTS == ("ista_bb", "ista_reverse", "fista_lip", "ista_vanilla",
                                "fista_vanilla")
+
+
+def test_solver_options_fields_are_pinned():
+    # a knob no caller sets belongs in a module constant, not here
+    assert [f.name for f in dataclasses.fields(solver.SolverOptions)] == [
+        "variant", "eta", "l0", "max_iters", "tol", "max_backtracks", "seed", "beta0"]
+
+
+def test_lipschitz_constant_takes_only_the_data():
+    assert list(inspect.signature(proxlogit.lipschitz_constant).parameters) == ["data"]

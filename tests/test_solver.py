@@ -24,7 +24,7 @@ from proxlogit import (
     sigmoid,
 )
 from proxlogit import data as data_module, solver
-from proxlogit.logistic import margins
+from proxlogit.logistic import Products, margins
 from proxlogit.solver import _fista_t_next
 
 from conftest import make_dataset
@@ -268,13 +268,14 @@ class TestReverseSearch:
             anchor = rng.normal(size=small_data.n_features)
             state = anchor_state(anchor, small_data, pen)
             scales.clear()
+            holder = Products()
             out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
-                                         sufficient_decrease=True)
+                                         sufficient_decrease=True, holder=holder)
             assert out.L > L_lip / 64  # the fallback path
             # the first block of the ladder, L0 first, then the forward part
             block, forward = scales[:solver._BLOCK], scales[solver._BLOCK:]
             assert block == [L_lip / 64 / 2.0 ** i for i in range(solver._BLOCK)]
-            assert len(scales) == out.evaluations
+            assert len(scales) == holder.products
             assert len(block[:1] + forward) == out.trials + 1
             assert len(set(scales)) == len(scales)
             assert block[:1] + forward == [L_lip / 64 * 2.0 ** i
@@ -337,7 +338,9 @@ class TestReverseSearch:
             state = anchor_state(anchor, data, pen)
             checks = self.sequential_scan(state, data, pen, L0, eta, cap, sufficient)
             first_fail = len(checks) - 1 if checks[-1][0] > checks[-1][1] else None
-            out = solver._reverse_search(*state, data, pen, L0, eta, cap, 100, sufficient)
+            holder = Products()
+            out = solver._reverse_search(*state, data, pen, L0, eta, cap, 100, sufficient,
+                                         holder=holder)
             if first_fail == 0:
                 assert out.L > L0  # the forward fallback
                 continue
@@ -353,7 +356,7 @@ class TestReverseSearch:
                 continue
             assert out.trials == index
             blocks_read = -(-(index + 2) // solver._BLOCK)  # through the failing scale
-            assert out.evaluations == min(cap, solver._BLOCK * blocks_read)
+            assert holder.products == min(cap, solver._BLOCK * blocks_read)
         assert near <= 2
 
     @pytest.mark.parametrize("cap", [1, 5, 6, 7, 13])
@@ -364,11 +367,12 @@ class TestReverseSearch:
         L0 = lipschitz_constant(small_data)
         state = anchor_state(np.zeros(small_data.n_features), small_data, pen)
         scales = self._record_prox_scales(monkeypatch)
+        holder = Products()
         out = solver._reverse_search(*state, small_data, pen, L0, 2.0, cap, 100,
-                                     sufficient_decrease=False)
+                                     sufficient_decrease=False, holder=holder)
         assert scales == [L0 / 2.0 ** i for i in range(cap)]
         assert out.L == L0 / 2.0 ** (cap - 1)
-        assert out.trials == cap - 1 and out.evaluations == cap
+        assert out.trials == cap - 1 and holder.products == cap
 
     def test_base_failure_is_the_forward_search_from_eta_L0(self, small_data):
         L_lip = lipschitz_constant(small_data)
@@ -377,14 +381,18 @@ class TestReverseSearch:
         for _ in range(5):
             state = anchor_state(rng.normal(size=small_data.n_features),
                                          small_data, pen)
+            reverse_products, forward_products = Products(), Products()
             out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
-                                         sufficient_decrease=True)
+                                         sufficient_decrease=True, holder=reverse_products)
             forward = solver._forward_search(*state, small_data, pen, L_lip / 32, 2.0, 100,
-                                             True, tried=1)
+                                             True, tried=1, holder=forward_products)
             assert out.L == forward.L > L_lip / 64
             assert out.trials == forward.trials and out.objective == forward.objective
             np.testing.assert_array_equal(out.candidate, forward.candidate)
-            assert out.evaluations == forward.evaluations + solver._BLOCK - 1
+            # the forward search makes one product per trial past L0, and the
+            # reverse search the first block besides them
+            assert forward_products.products == forward.trials
+            assert reverse_products.products == forward_products.products + solver._BLOCK
 
 
 class TestFit:
@@ -686,7 +694,7 @@ def record_products(monkeypatch, d):
     product; a margin call on a block of K coefficient rows makes K products.
     A margin product reads the k rows of its support (for a block, the union
     of its rows' supports) when 4 k <= d, else all d; a gradient product reads
-    all d, or, through a screen, the rows the screen's ``read`` count grew by.
+    all d, or, through a screen, the rows the holder's ``read`` count grew by.
     """
     margin_rows, gradient_rows = [], []
     real_margins, real_gradient = solver.margins, solver.gradient_from_margins
@@ -697,13 +705,11 @@ def record_products(monkeypatch, d):
         margin_rows.extend([k if 4 * k <= d else d] * len(block))
         return real_margins(beta, *args, **kwargs)
 
-    def recording_gradient(z, data, screen=None):
-        if screen is None:
-            gradient_rows.append(d)
-            return real_gradient(z, data)
-        before = screen.read
-        g = real_gradient(z, data, screen)
-        gradient_rows.append(screen.read - before)
+    def recording_gradient(z, data, holder, anchor):
+        before, products = holder.read, holder.products
+        g = real_gradient(z, data, holder, anchor)
+        assert holder.products == products + 1
+        gradient_rows.append(d if holder.screen is None else holder.read - before)
         return g
 
     monkeypatch.setattr(solver, "margins", recording_margins)
@@ -729,8 +735,8 @@ class TestFeatureRows:
         scales = TestReverseSearch._record_prox_scales(monkeypatch)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         L0 = 1e3 * lipschitz_constant(small_data)
-        res = fit(small_data, pen, SolverOptions(variant="ista_reverse", l0=L0,
-                                                 max_expansions=cap, max_iters=100))
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
+        res = fit(small_data, pen, SolverOptions(variant="ista_reverse", l0=L0, max_iters=100))
         assert max(res.trace.backtracks) == cap - 1
         assert min(res.trace.step_scales) >= L0 / 2.0 ** (cap - 1)
         assert len(scales) == len(margin_rows) - 2  # the start and the final objective
@@ -783,11 +789,11 @@ def check_screened_gradients(monkeypatch, lam):
     reference = []
     real = solver.gradient_from_margins
 
-    def checking(z, data, screen=None):
-        assert screen is not None
-        before = screen.read
-        g = real(z, data, screen)
-        k = screen.read - before
+    def checking(z, data, holder, anchor):
+        assert holder.screen is not None
+        before = holder.read
+        g = real(z, data, holder, anchor)
+        k = holder.read - before
         X = data.features
         r = sigmoid(z) - data.labels
         full = X @ r
@@ -797,7 +803,7 @@ def check_screened_gradients(monkeypatch, lam):
         else:
             stale = g == reference[0]
             assert np.all(np.abs(full[stale]) < lam)
-            assert not np.any(stale[screen.support])
+            assert not np.any(stale[np.flatnonzero(anchor)])
             fresh = ~stale
             bound = 1e-12 * (np.abs(X) @ np.abs(r))
             assert np.all(np.abs(g[fresh] - full[fresh]) <= bound[fresh])
@@ -886,7 +892,6 @@ class TestSolverOptionsValidation:
         {"max_iters": -1},
         {"tol": -1e-3},
         {"max_backtracks": 0},
-        {"max_expansions": 0},
         {"beta0": "ones"},
     ])
     def test_rejects_bad_options(self, kwargs):
