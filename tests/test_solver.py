@@ -892,6 +892,7 @@ class TestSolverOptionsValidation:
         {"max_iters": -1},
         {"tol": -1e-3},
         {"max_backtracks": 0},
+        {"l0": -1.0},
         {"beta0": "ones"},
     ])
     def test_rejects_bad_options(self, kwargs):
