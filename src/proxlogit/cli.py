@@ -10,7 +10,8 @@ is an error naming the key or flag.  Artifacts are
 CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
-Exit codes: 0 success/converged, 2 iteration cap hit, 1 error.
+Exit codes: 0 success/converged, 2 iteration cap hit (by any fit of a path
+or cross-validation), 1 error.
 """
 
 from __future__ import annotations
@@ -394,7 +395,7 @@ def cmd_cv(cfg: RunConfig) -> int:
             used = sum(1 for c in report.cells if c.fraction == frac and c.accuracy is not None)
             mean = "" if frac not in means else _fmt(means[frac])
             fh.write(f"{frac:g},{mean},{used}\n")
-    return EXIT_OK
+    return EXIT_MAXITERS if any(c.converged is False for c in report.cells) else EXIT_OK
 
 
 def cmd_bench(cfg: RunConfig) -> int:

@@ -9,11 +9,10 @@ mapped -1 -> 0, +1 -> 1.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
-from .logistic import _row_norms, sigmoid
+from .logistic import sigmoid
 
 __all__ = [
     "DataError",
@@ -37,9 +36,8 @@ class Dataset:
     holds one value in {0, 1} per sample.  Arrays are copied and marked
     read-only, so instances are safe to share across concurrent solver runs.
     The features are copied in C order, whatever the input's layout, so each
-    feature row is contiguous and a gather of rows reads whole rows.
-    ``feature_norms`` is computed on first use and then kept with the
-    instance.
+    feature row is contiguous: ``Dataset(X[ws], y)``, the working set of a
+    warm-started l1 fit, gathers whole rows.
     """
 
     features: np.ndarray
@@ -68,16 +66,6 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[1]
-
-    @functools.cached_property
-    def feature_norms(self) -> np.ndarray:
-        """Read-only ||x_j|| of every feature row, inf where it may have underflowed.
-
-        Computed once per dataset, for the gradient screens of l1 fits.
-        """
-        norms = _row_norms(self.features)
-        norms.setflags(write=False)
-        return norms
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,23 +8,11 @@ second product:
 * ``loss_from_margins(z, data)``     - the loss at z, no product;
 * ``gradient_from_margins(z, data)`` - X (sigmoid(z) - y), one product.
 
-Sparse coefficients make the margin product cheaper: when at most a quarter
-of beta is nonzero, ``margins`` reads only the feature rows of its support s,
-z = beta[s]' X[s], which differs from the full product by rounding only.  A
-``Products`` holder passed to ``margins`` keeps the gathered rows X[s] and
-reuses them while the support stays the same, with the same bits as a fresh
-gather.
-
-An l1 fit makes the gradient product cheaper too.  A ``GradientScreen`` in
-the holder passed to ``gradient_from_margins`` proves, from the last full
-product, which coordinates of the gradient are below the l1 weight and so
-leave a zero coordinate zero after the soft-threshold; it computes only the
-other rows, one prefix of at most d/4 rows held in slack order.  The
-screened coordinates keep their stale values, which are below the weight
-too; every computed one differs from the full product by rounding only.
-
-A holder also counts the products made through it and the feature rows they
-read; ``Products`` states the rule.
+A ``Products`` holder passed to ``margins`` or ``gradient_from_margins``
+counts the products made through it and the feature rows they read;
+``Products`` states the rule.  Work is cut by making the problem smaller,
+not the product: a warm-started l1 fit solves on a working set of feature
+rows (see ``solver``).
 
 ``margins`` and ``loss_from_margins`` also take a leading block axis: a
 (K, d) block of coefficient rows gives (K, n) margins from one product, and
@@ -49,7 +37,6 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 __all__ = [
-    "GradientScreen",
     "Products",
     "gradient_from_margins",
     "lipschitz_constant",
@@ -63,11 +50,6 @@ __all__ = [
 
 _FLOAT_EPS = float(np.finfo(np.float64).eps)
 _FLOAT_TINY = float(np.finfo(np.float64).tiny)
-
-# A product counts as sparse when at most 1/_SPARSE_SHARE of the rows take
-# part: ``margins`` gathers up to d/4 support rows and a ``GradientScreen``
-# holds d/4 rows.
-_SPARSE_SHARE = 4
 
 # ``lipschitz_constant`` stops when its estimate has settled to this relative
 # tolerance, or after this many Lanczos steps.
@@ -93,164 +75,34 @@ class Products:
     (``margins``) or a gradient product X r (``gradient_from_margins``).  A
     (K, d) block of coefficient rows makes K margin products.  ``products``
     counts them and ``read`` counts the feature rows they read, a
-    machine-independent measure of their cost:
-
-    * a full product reads all d rows;
-    * a margin product gathered on a support s reads |s| rows, and a block
-      reads K |s| on the union support s of its rows (all-zero coefficients
-      read none);
-    * a gradient product screened by ``screen`` reads its k computed rows.
-
-    Gathering rows into a copy is not counted.  ``support`` and ``rows`` hold
-    the last gathered rows X[s]; ``margins`` reuses them only for an
-    identical support, so a product through a holder has the same bits as
-    one without.  ``screen`` is the ``GradientScreen`` of an l1 fit, or
-    ``None``.  A holder belongs to one sequence of products on one dataset:
-    ``fit`` makes its own and drops it on return, because concurrent fits may
-    share a dataset.  The held rows take at most d/4 rows of X.
+    machine-independent measure of their cost: every product reads all d
+    rows of the dataset it is made on.  A working-set fit makes most of its
+    products on a dataset of fewer rows (see ``solver``).  A holder belongs
+    to one sequence of products: ``fit`` makes its own and drops it on
+    return.
     """
 
-    def __init__(self, screen: GradientScreen | None = None):
+    def __init__(self):
         self.products = 0
         self.read = 0
-        self.support: np.ndarray | None = None
-        self.rows: np.ndarray | None = None
-        self.screen = screen
-
-
-class GradientScreen:
-    """Safe screening of the l1 gradient X r: read only rows that can matter.
-
-    An l1 fit with weight ``lam`` keeps one screen in its ``Products``
-    holder, and every ``gradient_from_margins`` call names the anchor, the
-    point whose gradient it computes.  At a full product
-    g_ref = X r_ref the holder keeps r_ref, g_ref and the slack
-    s_j = (lam - |g_ref_j|) / ||x_j|| of every row.  At a later residual r,
-    Cauchy-Schwarz gives |g_j - g_ref_j| <= ||x_j|| ||r - r_ref||, so a row
-    with s_j > delta = ||r - r_ref|| has |g_j| < lam, and at a zero anchor
-    coordinate the soft-threshold returns exactly 0 whatever g_j is.  Such
-    a row is not read: it keeps its stale g_ref_j, also below lam, which the
-    line search only ever multiplies by an exact zero.
-
-    At each full product the holder gathers the d/4 rows of smallest slack,
-    sorted by slack, into one contiguous copy, so the rows a step must
-    compute are a prefix of them and cost one small product.  Every
-    coordinate nonzero in an anchor since that product must be computed
-    exactly: the prox reads those of the current anchor, and ISTA-BB's
-    curvature estimate <delta, v> those of the previous one.  So the prefix
-    is widened to cover every such coordinate.  When the prefix would take
-    every held row the call makes the full product and takes a new reference
-    there.  No reference is taken while the anchor alone has d/4 nonzeros or
-    more, nor from a non-finite gradient; each call then makes a full
-    product.
-
-    delta is inflated by gamma (||r|| + ||r_ref||) with gamma = 2 (n + 4) eps,
-    which bounds the rounding of the two n-term dot products behind g_ref_j
-    and behind the g_j a full product would compute, and that of delta and
-    the slack.  A zero row has infinite slack and is never read.  ``norms``
-    are the row norms ||x_j|| of X, which ``Dataset.feature_norms`` computes
-    once per dataset.  A screen belongs to one fit on one dataset; the held
-    rows take at most d/4 rows of X.
-    """
-
-    def __init__(self, lam: float, norms: np.ndarray):
-        self.lam = float(lam)
-        self.rows: np.ndarray | None = None  # held rows, by ascending slack
-        self._norms = norms
-
-    def product(self, X: np.ndarray, r: np.ndarray, anchor) -> tuple[np.ndarray, int]:
-        """X r at ``anchor``, screened when a reference allows, and the rows read."""
-        support = np.flatnonzero(anchor)
-        if self.rows is not None:
-            if support.size:
-                self._cover = max(self._cover, int(self._position[support].max()) + 1)
-            gamma = 2 * (r.size + 4) * _FLOAT_EPS
-            delta = (float(np.linalg.norm(r - self._r_ref))
-                     + gamma * (float(np.linalg.norm(r)) + self._r_ref_norm))
-            if math.isfinite(delta):
-                k = max(self._cover, int(np.searchsorted(self._slack, delta, side="right")))
-                if k < len(self.rows):
-                    g = self._g_ref.copy()
-                    g[self._index[:k]] = self.rows[:k] @ r
-                    return g, k
-        g = X @ r
-        self._rebase(X, r, g, support)
-        return g, X.shape[0]
-
-    def _rebase(self, X: np.ndarray, r: np.ndarray, g: np.ndarray,
-                support: np.ndarray) -> None:
-        d = X.shape[0]
-        held = d // _SPARSE_SHARE
-        self.rows = None  # drop the old rows before gathering the new ones
-        if support.size >= held or not np.all(np.isfinite(g)):
-            return
-        with np.errstate(divide="ignore"):
-            slack = (self.lam - np.abs(g)) / self._norms
-        slack[support] = -np.inf
-        index = np.argpartition(slack, held - 1)[:held]
-        index = index[np.argsort(slack[index], kind="stable")]
-        self._position = np.full(d, held)
-        self._position[index] = np.arange(held)
-        self._index, self._slack = index, slack[index]
-        self._g_ref, self._r_ref = g.copy(), r
-        self._r_ref_norm = float(np.linalg.norm(r))
-        self._cover = support.size
-        self.rows = X[index]
-
-
-def _row_norms(X: np.ndarray) -> np.ndarray:
-    """||x_j|| of every row, or inf where the sum of squares may have underflowed.
-
-    Below 2**-900 a sum of squares may have lost terms to underflow, so such
-    a row gets an infinite norm (zero slack, always read) unless it is
-    exactly zero.
-    """
-    sq = np.einsum("ij,ij->i", X, X)
-    norms = np.sqrt(sq)
-    small = np.flatnonzero(sq < 2.0 ** -900)
-    norms[small] = np.where(np.any(X[small], axis=1), np.inf, 0.0)
-    return norms
 
 
 def margins(beta, data: Dataset, holder: Products | None = None) -> np.ndarray:
     """Margins z_i = x_i' beta of every sample: one product X' beta.
 
-    When at most a quarter of beta is nonzero (-0.0 counts as zero), the
-    product reads only the rows of the support s = flatnonzero(beta),
-    z = beta[s] @ X[s]; it then differs from the full product by rounding,
-    and an all-zero beta gives exact +0.0.  Below a quarter the gather and
-    the smaller product cost less than the full product.  ``holder`` keeps
-    the gathered rows for reuse by the next product on the same support, and
-    counts the products and rows read (see ``Products``).
-
     A (K, d) block of coefficient rows gives the (K, n) margins of every row
-    from one product, on the union support of the rows when it is at most a
-    quarter of d.
+    from one product.  ``holder`` counts the products and the rows they read
+    (see ``Products``).
     """
     beta = np.asarray(beta, dtype=np.float64)
     d = data.n_features
     if beta.ndim not in (1, 2) or beta.shape[-1] != d:
         raise ValueError(
             f"coefficient vector has shape {beta.shape}, expected ({d},) or (K, {d})")
-    X = data.features
-    block = beta.ndim == 2
-    nonzero = beta.any(axis=0) if block else beta
-    if _SPARSE_SHARE * np.count_nonzero(nonzero) > d:
-        coefficients, rows = beta, X
-    else:
-        s = np.flatnonzero(nonzero)
-        coefficients = beta[:, s] if block else beta[s]
-        if holder is None:
-            rows = X[s]
-        else:
-            if holder.support is None or not np.array_equal(s, holder.support):
-                holder.rows = None  # drop the old rows before gathering the new ones
-                holder.support, holder.rows = s, X[s]
-            rows = holder.rows
     if holder is not None:
-        holder.products += len(beta) if block else 1
-        holder.read += coefficients.size
-    return coefficients @ rows
+        holder.products += len(beta) if beta.ndim == 2 else 1
+        holder.read += beta.size
+    return beta @ data.features
 
 
 def loss_from_margins(z, data: Dataset) -> float | np.ndarray:
@@ -263,26 +115,16 @@ def loss_from_margins(z, data: Dataset) -> float | np.ndarray:
     return total if terms.ndim > 1 else float(total)
 
 
-def gradient_from_margins(z, data: Dataset, holder: Products | None = None,
-                          anchor=None) -> np.ndarray:
+def gradient_from_margins(z, data: Dataset, holder: Products | None = None) -> np.ndarray:
     """Gradient X (sigmoid(z) - y) of the negative log-likelihood at margins z.
 
     ``holder`` counts the product and the rows it read (see ``Products``).
-    When it holds a screen (l1 fits only), the product reads only the rows
-    whose coordinates can enter the support of the soft-threshold step from
-    ``anchor``, the point at margins z; the others keep the values of the
-    screen's last full product (see ``GradientScreen``).
     """
     r = sigmoid(z) - data.labels
-    X = data.features
-    if holder is None or holder.screen is None:
-        g, read = X @ r, X.shape[0]
-    else:
-        g, read = holder.screen.product(X, r, anchor)
     if holder is not None:
         holder.products += 1
-        holder.read += read
-    return g
+        holder.read += data.n_features
+    return data.features @ r
 
 
 def loss_value(beta, data: Dataset) -> float:

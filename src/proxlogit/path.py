@@ -128,7 +128,8 @@ def accuracy(beta, data: Dataset) -> float:
 
 @dataclasses.dataclass
 class CvCell:
-    """One (fraction, fold) evaluation; ``reason`` is set when skipped."""
+    """One (fraction, fold) evaluation; ``reason`` is set when skipped, and
+    ``converged`` tells whether a fitted cell's fit converged."""
 
     fraction: float
     fold: int
@@ -136,6 +137,7 @@ class CvCell:
     nnz: int | None
     iterations: int | None
     reason: str | None = None
+    converged: bool | None = None
 
 
 @dataclasses.dataclass
@@ -182,5 +184,6 @@ def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvRe
             continue
         for pt in points:
             cells.append(CvCell(pt.fraction, j, accuracy(pt.result.beta, test),
-                                pt.result.nnz, pt.result.n_iterations))
+                                pt.result.nnz, pt.result.n_iterations,
+                                converged=pt.result.converged))
     return CvReport(cells)

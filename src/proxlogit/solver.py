@@ -35,21 +35,26 @@ search evaluates its ladder of scales L0, L0/eta, ... in blocks of
 (6, d) by (d, n) product and one loss: per-call overhead dominates
 one-candidate kernels at the sizes of a typical fit.  A block product rounds
 differently from a one-row product, so iterates differ from a one-at-a-time
-scan by rounding, and a reverse fit recomputes the objective of the
-coefficients it returns with one-row kernels.  A margin product of a point
-with at most a quarter of its coefficients nonzero reads only the feature
-rows of its support (see ``logistic.margins``), and an l1 fit screens its
-gradient products: a product reads only the rows whose coordinates can
-become nonzero in the next soft-threshold step, as a sphere test around the
-last full product proves, and the other coordinates, which every candidate
-leaves at zero, keep their values from that product (see
-``logistic.GradientScreen``).  The nonconvex penalties always read every
-row, because their prox zero region is not |u| <= lam/L.  Each fit passes
-its own ``logistic.Products`` holder to every product it makes; the holder
-reuses gathered support rows, which often stay the same from one trial to
-the next, and counts the products and the rows they read by the rule stated
-there.  The fit clock starts on entry to ``fit``, so ``Trace.times``
-includes the Lipschitz estimate and the other set-up.
+scan by rounding.  Every fit reports the objective of the coefficients it
+returns as ``objective`` computes it, for one more product.
+
+An l1 fit from a given start vector, as ``run_path`` warm-starts every
+point after the first, solves on a working set of features instead of the
+full data (Celer, Massias, Gramfort & Salmon, ICML 2018; skglm, Bertrand et
+al., NeurIPS 2022).  It takes one full gradient at the start, runs the
+iteration above on ``Dataset(X[ws], y)`` for the set ws made of the start's
+support and the features of largest |gradient|, then checks the l1
+optimality condition on the full data and adds the worst violators, until
+no feature outside the set violates it.  Near a warm start the solution's
+support is small and mostly known, so the products shrink from d rows to
+|ws|.  A cold start has no support to begin from, and a working set there
+holds FISTA's early iterates above its O(1/k^2) bound, so cold fits iterate
+on the full data.  So does every fit under a nonconvex penalty, whose
+optimality condition is not |g_j| <= lam.  Each fit passes its own
+``logistic.Products`` holder to every product it makes, which counts the
+products and the rows they read by the rule stated there.  The fit clock
+starts on entry to ``fit``, so ``Trace.times`` includes the Lipschitz
+estimate and the other set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -62,16 +67,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from typing import NamedTuple, TYPE_CHECKING
+from typing import NamedTuple
 
 import numpy as np
 
-from .logistic import (GradientScreen, Products, gradient_from_margins,
-                       lipschitz_constant, loss_from_margins, loss_value, margins)
+from .data import Dataset
+from .logistic import (Products, gradient_from_margins, lipschitz_constant,
+                       loss_from_margins, loss_value, margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
-
-if TYPE_CHECKING:
-    from .data import Dataset
 
 __all__ = [
     "FitResult",
@@ -115,6 +118,13 @@ _BB_CLAMP = 1e12
 
 # A reverse search tries at most this many scales L0 / eta**i.
 _MAX_EXPANSIONS = 60
+
+# A warm-started l1 fit's first working set holds max(_WS_MIN, _WS_GROWTH
+# nnz) features, and a feature outside the set violates the optimality
+# check when |g_j| > lam (1 + _WS_SLACK).
+_WS_MIN = 10
+_WS_GROWTH = 2
+_WS_SLACK = 1e-9
 
 
 def nonzero_count(beta) -> int:
@@ -218,8 +228,10 @@ class FitResult:
     by the rule of ``logistic.Products``.  Per iteration a fit makes one
     gradient product and one margin product per evaluated candidate, each
     row of an ``ista_reverse`` block included; it also makes one for the
-    starting point and, in a reverse fit of at least one iteration, one for
-    recomputing ``final_objective`` with one-row kernels.
+    starting point and one for recomputing ``final_objective`` =
+    ``objective(beta)``.  A working-set fit makes its iterations' products
+    on the set's rows, plus one full gradient at the start and one per
+    check.
     """
 
     beta: np.ndarray
@@ -395,52 +407,20 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
     return beta0
 
 
-def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
-        lipschitz: float | None = None) -> FitResult:
-    """Run the selected solver variant and return the fitted coefficients.
+def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
+             lip, holder: Products, trace: Trace, start: float):
+    """Iterate from ``beta``, whose margins on ``data`` are ``z_beta``, until the stop.
 
-    The l1 penalty uses the quadratic-upper-model line-search criterion, the
-    nonconvex penalties the sufficient-decrease criterion.  Stops when the
-    relative objective change falls to ``opts.tol`` (converged) or at
-    ``opts.max_iters`` (not converged); the trace records every iteration.
-
-    The Lipschitz constant of the loss gradient is estimated by Lanczos (see
-    ``lipschitz_constant``) the first time the variant needs it, and at most
-    once per fit.  ``lipschitz`` supplies it instead.  Given the value
-    ``lipschitz_constant(data)`` returns, or ``FitResult.lipschitz`` of an
-    earlier fit on the same features, the fit is bitwise equal to one that
-    estimates it.  ``run_path`` does this, so a whole path makes at most one
-    estimate.
+    Appends every iteration to ``trace``, numbered on from its last one, and
+    stops at the relative-change test (converged) or once ``trace`` holds
+    ``opts.max_iters`` iterations.  ``lip`` returns the Lipschitz constant
+    for the BB clamp.  Returns the last iterate, its margins and whether it
+    converged.
     """
-    start = time.perf_counter()
-    opts = opts if opts is not None else SolverOptions()
     policy = _POLICIES[opts.variant]
-    if policy.momentum and pen.kind != L1:
-        raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
-    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
-        raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
-
-    lip_cache: dict[str, float] = {} if lipschitz is None else {"L": lipschitz}
-
-    def lip() -> float:
-        if "L" not in lip_cache:
-            lip_cache["L"] = lipschitz_constant(data)
-        return lip_cache["L"]
-
-    L0 = lip() if opts.l0 is None else float(opts.l0)
-    if L0 == 0.0:
-        raise ValueError("initial step scale is zero (zero feature matrix)")
-    if not math.isfinite(L0):
-        raise ValueError(f"initial step scale must be finite, got {L0}")
-
     sufficient = pen.kind != L1
-    beta = _initial_beta(opts, data.n_features)
-    # This fit's products and their counts; dropped on return.
-    holder = Products(GradientScreen(pen.lam, data.feature_norms) if pen.kind == L1 else None)
-    z_beta = margins(beta, data, holder)  # carried with beta
     l_prev = loss_from_margins(z_beta, data)
     f_prev = l_prev + penalty_value(beta, pen)
-    trace = Trace(f0=f_prev)
     converged = False
 
     bb_prev: tuple[np.ndarray, np.ndarray] | None = None  # previous (anchor, gradient)
@@ -448,13 +428,13 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     w, z_w = beta, z_beta  # the momentum anchor and its margins
     t_momentum = 1.0
 
-    for k in range(1, opts.max_iters + 1):
+    for k in range(len(trace) + 1, opts.max_iters + 1):
         if policy.momentum:
             # The convex criterion never reads f_anchor, so w's penalty is skipped.
             anchor, z_anchor, l_anchor, f_anchor = w, z_w, loss_from_margins(z_w, data), None
         else:
             anchor, z_anchor, l_anchor, f_anchor = beta, z_beta, l_prev, f_prev
-        grad = gradient_from_margins(z_anchor, data, holder, anchor)
+        grad = gradient_from_margins(z_anchor, data, holder)
         if policy.seed == "carried":
             L_seed = L_carry
         elif policy.seed == "bb" and bb_prev is not None:
@@ -487,11 +467,102 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
         l_prev, f_prev = out.loss, out.objective
         if converged:
             break
+    return beta, z_beta, converged
 
-    if policy.reverse and len(trace):
-        # Block products round differently from one-row ones: report beta's
-        # objective as ``objective`` computes it, for one more product.
-        f_prev = loss_from_margins(margins(beta, data, holder), data) + penalty_value(beta, pen)
-    return FitResult(beta=beta, converged=converged, trace=trace, final_objective=f_prev,
+
+def _working_set(data: Dataset, beta, z_beta, lam: float, holder: Products, descend):
+    """Solve an l1 fit from ``beta`` on a growing working set of features.
+
+    The first set is the support of ``beta`` and the features of largest
+    |gradient|, ``max(_WS_MIN, _WS_GROWTH nnz)`` in all.  ``descend`` solves
+    on ``Dataset(X[ws], y)``; one full gradient then checks the l1
+    optimality condition |g_j| <= lam (1 + ``_WS_SLACK``) outside the set,
+    and up to |ws| of the worst violators join it, until none is left.
+    Returns the coefficients and whether the last solve converged with no
+    violator.
+    """
+    X, y, d = data.features, data.labels, data.n_features
+    priority = np.abs(gradient_from_margins(z_beta, data, holder))
+    support = np.flatnonzero(beta)
+    priority[support] = np.inf
+    size = min(d, max(_WS_MIN, _WS_GROWTH * support.size))
+    ws = np.sort(np.argpartition(-priority, size - 1)[:size])
+    while True:
+        sub_beta, z_beta, converged = descend(Dataset(X[ws], y), beta[ws], z_beta)
+        beta = np.zeros(d)
+        beta[ws] = sub_beta
+        if not converged:
+            return beta, False
+        excess = np.abs(gradient_from_margins(z_beta, data, holder)) - lam * (1.0 + _WS_SLACK)
+        excess[ws] = 0.0
+        violators = np.flatnonzero(excess > 0.0)
+        if not violators.size:
+            return beta, True
+        if violators.size > ws.size:
+            violators = violators[np.argpartition(-excess[violators], ws.size - 1)[:ws.size]]
+        ws = np.union1d(ws, violators)
+
+
+def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
+        lipschitz: float | None = None) -> FitResult:
+    """Run the selected solver variant and return the fitted coefficients.
+
+    The l1 penalty uses the quadratic-upper-model line-search criterion, the
+    nonconvex penalties the sufficient-decrease criterion.  Stops when the
+    relative objective change falls to ``opts.tol`` (converged) or at
+    ``opts.max_iters`` (not converged); the trace records every iteration.
+
+    An l1 fit from a given start vector (``opts.beta0`` an array, as
+    ``run_path`` warm-starts every point after the first) solves on a
+    working set of features (see ``_working_set``): it converges only when
+    its last solve converged and every feature outside the set meets the
+    optimality check, and all of its solves share ``opts.max_iters``.  Every
+    other fit iterates on the full data.
+
+    The Lipschitz constant of the loss gradient is estimated by Lanczos (see
+    ``lipschitz_constant``) the first time the variant needs it, and at most
+    once per fit; a working set reuses the full data's, which bounds its
+    own.  ``lipschitz`` supplies it instead.  Given the value
+    ``lipschitz_constant(data)`` returns, or ``FitResult.lipschitz`` of an
+    earlier fit on the same features, the fit is bitwise equal to one that
+    estimates it.  ``run_path`` does this, so a whole path makes at most one
+    estimate.
+    """
+    start = time.perf_counter()
+    opts = opts if opts is not None else SolverOptions()
+    if _POLICIES[opts.variant].momentum and pen.kind != L1:
+        raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
+    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
+        raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
+
+    lip_cache: dict[str, float] = {} if lipschitz is None else {"L": lipschitz}
+
+    def lip() -> float:
+        if "L" not in lip_cache:
+            lip_cache["L"] = lipschitz_constant(data)
+        return lip_cache["L"]
+
+    L0 = lip() if opts.l0 is None else float(opts.l0)
+    if L0 == 0.0:
+        raise ValueError("initial step scale is zero (zero feature matrix)")
+    if not math.isfinite(L0):
+        raise ValueError(f"initial step scale must be finite, got {L0}")
+
+    beta = _initial_beta(opts, data.n_features)
+    holder = Products()  # this fit's product counts; dropped on return
+    z_beta = margins(beta, data, holder)
+    trace = Trace(f0=loss_from_margins(z_beta, data) + penalty_value(beta, pen))
+
+    def descend(sub: Dataset, b, z):
+        return _descend(sub, b, z, pen, opts, L0, lip, holder, trace, start)
+
+    if pen.kind == L1 and not isinstance(opts.beta0, str):
+        beta, converged = _working_set(data, beta, z_beta, pen.lam, holder, descend)
+    else:
+        beta, _, converged = descend(data, beta, z_beta)
+    # Block products and working sets round differently from one full
+    # product: report beta's objective as ``objective`` computes it.
+    final = loss_from_margins(margins(beta, data, holder), data) + penalty_value(beta, pen)
+    return FitResult(beta=beta, converged=converged, trace=trace, final_objective=final,
                      lipschitz=lip_cache.get("L"), matvecs=holder.products,
                      feature_rows=holder.read)

@@ -59,8 +59,8 @@ class TestTrain:
         summary = json.loads(read(os.path.join(out, "summary.json")))
         assert summary["converged"] is True
         assert summary["matvecs"] >= 1 + 2 * summary["iterations"]
-        # 50 features at 0.1 lambda_max: sparse products read fewer rows
-        assert 0 < summary["feature_rows"] < 50 * summary["matvecs"]
+        # a cold fit on 50 features: every product reads all 50 rows
+        assert summary["feature_rows"] == 50 * summary["matvecs"] > 0
 
     def test_zero_iterations_exits_2(self, tmp_path):
         out = str(tmp_path / "run")
@@ -181,6 +181,17 @@ class TestPath:
             assert matvecs > 2 * iterations
             assert 0 < feature_rows <= 15 * matvecs
 
+    def test_cut_warm_point_exits_2(self, tmp_path):
+        # the cold point at 0.8 converges in 4 iterations; the warm point at
+        # 0.1 needs more and is cut at the cap
+        out = str(tmp_path / "run")
+        code = main(["path", *SYNTH, "--fractions", "0.1,0.8", "--max-iters", "5",
+                     "--out", out])
+        assert code == EXIT_MAXITERS
+        rows = [line.split(",") for line in
+                read(os.path.join(out, "path.csv")).strip().split("\n")[1:]]
+        assert [(r[0], r[3]) for r in rows] == [("0.8", "4"), ("0.1", "5")]
+
     def test_exact_lambda_max_row_is_empty_model(self, tmp_path):
         out = str(tmp_path / "run")
         assert main(["path", *SYNTH, "--fractions", "1.0", "--out", out]) == EXIT_OK
@@ -194,6 +205,18 @@ class TestPath:
         main(["path", *SYNTH, "--fractions", "0.05,0.2,0.6", "--out", a])
         main(["path", *SYNTH, "--fractions", "0.05,0.2,0.6", "--out", b])
         assert normalized_artifacts(a) == normalized_artifacts(b)
+
+
+class TestIterationCap:
+    @pytest.mark.parametrize("command", ["path", "cv"])
+    def test_iteration_cap_exits_2(self, tmp_path, command):
+        # the same options exit 0 without the cap; the artifacts are written
+        args = [command, *SYNTH, "--fractions", "0.1,0.5"]
+        artifact = "path.csv" if command == "path" else "cv.csv"
+        assert main([*args, "--out", str(tmp_path / "a")]) == EXIT_OK
+        capped = str(tmp_path / "b")
+        assert main([*args, "--max-iters", "2", "--out", capped]) == EXIT_MAXITERS
+        assert len(read(os.path.join(capped, artifact)).strip().split("\n")) > 1
 
 
 class TestCv:

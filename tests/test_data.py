@@ -10,7 +10,6 @@ from proxlogit import (
     load_csv,
     load_libsvm,
 )
-from proxlogit.logistic import _row_norms
 
 
 def save_libsvm(data, path):
@@ -57,16 +56,6 @@ class TestDataset:
             ds.features[0, 0] = 5.0
         with pytest.raises(ValueError):
             ds.labels[0] = 1.0
-
-    def test_feature_norms_kept_and_read_only(self):
-        ds = Dataset(np.array([[3.0, 4.0], [0.0, 0.0], [1e-170, 0.0]]), np.array([0.0, 1.0]))
-        norms = ds.feature_norms
-        np.testing.assert_array_equal(norms, [5.0, 0.0, np.inf])  # the underflow guard
-        assert ds.feature_norms is norms
-        with pytest.raises(ValueError):
-            norms[0] = 1.0
-        wide = Dataset(np.random.default_rng(3).normal(size=(50, 7)), np.arange(7) % 2.0)
-        np.testing.assert_array_equal(wide.feature_norms, _row_norms(wide.features))
 
 
 class TestLoadCsv:

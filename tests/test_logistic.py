@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 
 from proxlogit import Dataset, lipschitz_constant, loss_gradient, loss_value, softplus
 from proxlogit.logistic import (
-    GradientScreen,
     Products,
-    _row_norms,
     _top_eigenvalue,
     gradient_from_margins,
     loss_from_margins,
@@ -146,8 +144,8 @@ def sparse_beta(rng, d, k):
 class TestGatheredMargins:
     @given(st.integers(1, 40), st.integers(1, 30), st.data())
     def test_close_to_full_product_at_every_support_size(self, d, n, draw):
-        # supports from 0 to d cover both the gathered (4 k <= d) and the
-        # full branch; the bound scales with the sum of |terms|
+        # supports from 0 to d, sparse to dense; the bound scales with the
+        # sum of |terms|
         k = draw.draw(st.integers(0, d), label="support size")
         seed = draw.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         rng = np.random.default_rng(seed)
@@ -165,19 +163,21 @@ class TestGatheredMargins:
             z = margins(beta, small_data, holder)
             assert z.shape == (small_data.n_samples,)
             assert np.all(z == 0.0) and not np.any(np.signbit(z))
-            assert holder.read == 0 and holder.products == 1
+            assert holder.read == small_data.n_features and holder.products == 1
 
     def test_negative_zeros_count_as_zero(self, small_data):
+        # every product reads all d rows, whatever the support
         d = small_data.n_features
         beta = np.full(d, -0.0)
         beta[:d // 4] = 1.5
         holder = Products()
+        z = margins(beta, small_data, holder)
+        np.testing.assert_array_equal(z.view(np.uint64),
+                                      margins(beta + 0.0, small_data).view(np.uint64))
+        assert holder.read == d
+        beta[d // 4] = 1.5
         margins(beta, small_data, holder)
-        assert holder.read == d // 4
-        np.testing.assert_array_equal(holder.support, np.arange(d // 4))
-        beta[d // 4] = 1.5  # one more nonzero crosses a quarter: the full product
-        margins(beta, small_data, holder)
-        assert holder.read == d // 4 + d and holder.products == 2
+        assert holder.read == 2 * d and holder.products == 2
 
     def test_holder_reuse_is_bitwise_equal_to_fresh_gather(self):
         data = make_dataset(seed=34, d=64, n=50)
@@ -187,7 +187,7 @@ class TestGatheredMargins:
             [3, 20], [3, 20],              # shrink
             [3, 9, 20, 41, 60], [3, 9, 20, 41, 60],  # grow
             [0, 1, 2, 5, 7, 8, 11],        # disjoint
-            list(range(0, 64, 2)),         # dense: the full product
+            list(range(0, 64, 2)),         # dense
             [3, 20], [3, 20, 61], [],      # back to sparse, then zero
         ]
         holder = Products()
@@ -199,7 +199,7 @@ class TestGatheredMargins:
                 z = margins(beta, data, holder)
                 np.testing.assert_array_equal(z.view(np.uint64),
                                               margins(beta, data).view(np.uint64))
-                read += len(support) if 4 * len(support) <= data.n_features else data.n_features
+                read += data.n_features
                 assert holder.read == read
         assert holder.products == 3 * len(supports)
 
@@ -207,7 +207,7 @@ class TestGatheredMargins:
 class TestBlockMargins:
     @pytest.mark.parametrize("union", [0, 3, 16, 17, 64])
     def test_rows_close_to_one_row_products(self, union):
-        # union supports at and around d/4 = 16: gathered up to it, full past it
+        # union supports from empty to dense; each row reads all d rows
         data = make_dataset(seed=36, d=64, n=50)
         rng = np.random.default_rng(37)
         B = np.zeros((6, 64))
@@ -217,21 +217,19 @@ class TestBlockMargins:
         holder = Products()
         Z = margins(B, data, holder)
         assert Z.shape == (6, 50)
-        assert holder.read == 6 * (union if 4 * union <= 64 else 64)
+        assert holder.read == 6 * 64
         assert holder.products == 6
         for b, z in zip(B, Z):
             bound = 1e-12 * (np.abs(b) @ np.abs(data.features))
             assert np.all(np.abs(z - margins(b, data)) <= bound)
-        if 0 < 4 * union <= 64:
-            np.testing.assert_array_equal(holder.support, np.sort(cols))
-            np.testing.assert_array_equal(Z, B[:, holder.support] @ data.features[holder.support])
-            np.testing.assert_array_equal(margins(B, data), Z)  # no holder, same bits
+        np.testing.assert_array_equal(Z, B @ data.features)
+        np.testing.assert_array_equal(margins(B, data), Z)  # no holder, same bits
 
     def test_zero_block_gives_positive_zeros(self, small_data):
         holder = Products()
         Z = margins(np.full((3, small_data.n_features), -0.0), small_data, holder)
         assert np.all(Z == 0.0) and not np.any(np.signbit(Z))
-        assert holder.read == 0 and holder.products == 3
+        assert holder.read == 3 * small_data.n_features and holder.products == 3
 
     def test_loss_rows_bitwise_equal_to_one_row_losses(self, small_data):
         rng = np.random.default_rng(38)
@@ -251,86 +249,9 @@ class TestGradientProducts:
     def test_holder_counts_one_full_product(self, small_data):
         z = margins(np.random.default_rng(39).normal(size=small_data.n_features), small_data)
         holder = Products()
-        g = gradient_from_margins(z, small_data, holder, np.zeros(small_data.n_features))
+        g = gradient_from_margins(z, small_data, holder)
         np.testing.assert_array_equal(g, gradient_from_margins(z, small_data))
         assert holder.products == 1 and holder.read == small_data.n_features
-
-    def test_screened_product_counts_the_rows_it_read(self):
-        data = make_dataset(seed=42, d=40, n=30)
-        holder = Products(GradientScreen(1e6, _row_norms(data.features)))
-        zero = np.zeros(data.n_features)
-        z = np.random.default_rng(43).normal(size=data.n_samples)
-        full = gradient_from_margins(z, data, holder, zero)  # the reference
-        screened = gradient_from_margins(z + 1e-9, data, holder, zero)  # reads no row
-        np.testing.assert_array_equal(screened, full)
-        assert holder.products == 2 and holder.read == data.n_features
-
-
-class TestGradientScreen:
-    @staticmethod
-    def referenced(lam, d=40, n=30, seed=40):
-        """A screen that has taken its reference at a zero anchor, with X and r."""
-        rng = np.random.default_rng(seed)
-        X, r = rng.normal(size=(d, n)), rng.uniform(-0.5, 0.5, size=n)
-        screen = GradientScreen(lam, _row_norms(X))
-        g, read = screen.product(X, r, np.zeros(d))
-        np.testing.assert_array_equal(g, X @ r)
-        assert read == d and screen.rows.shape == (d // 4, n)
-        return screen, X, r
-
-    def test_row_within_rounding_of_lam_is_read(self):
-        # The top row's slack is a few ulps: positive, but within the rounding
-        # a full product could make, so the same residual must still read it.
-        d = 40
-        rng = np.random.default_rng(40)
-        g = rng.normal(size=(d, 30)) @ rng.uniform(-0.5, 0.5, size=30)
-        top = int(np.argmax(np.abs(g)))
-        screen, X, r = self.referenced(abs(g[top]) * (1 + 8 * np.finfo(float).eps))
-        out, read = screen.product(X, r.copy(), np.zeros(d))
-        assert read == 1
-        assert out[top] == pytest.approx(g[top], rel=1e-14)
-
-    def test_far_residual_takes_full_product(self):
-        screen, X, r = self.referenced(lam=1e3)
-        zero = np.zeros(40)
-        near = r + 1e-9  # every slack exceeds delta: nothing to read
-        g, read = screen.product(X, near, zero)
-        np.testing.assert_array_equal(g, X @ r)
-        assert read == 0
-        far = 1e4 * r  # every held row is within reach: the full product
-        g, read = screen.product(X, far, zero)
-        np.testing.assert_array_equal(g, X @ far)
-        assert read == 40
-
-    def test_non_finite_residual_takes_full_product(self):
-        screen, X, r = self.referenced(lam=1.0)
-        r[0] = np.nan
-        out, read = screen.product(X, r, np.zeros(40))
-        assert read == 40
-        assert np.all(np.isnan(out)) and screen.rows is None
-
-    def test_dense_anchor_takes_no_reference(self):
-        rng = np.random.default_rng(41)
-        X, r = rng.normal(size=(40, 30)), rng.uniform(-0.5, 0.5, size=30)
-        anchor = np.zeros(40)
-        anchor[:10] = 1.0  # a quarter of the coordinates
-        screen = GradientScreen(1e6, _row_norms(X))
-        for _ in range(3):
-            g, read = screen.product(X, r, anchor)
-            np.testing.assert_array_equal(g, X @ r)
-            assert read == 40 and screen.rows is None
-
-    def test_anchor_outside_held_rows_takes_full_product(self):
-        screen, X, r = self.referenced(lam=1e6)  # every slack is huge
-        anchor = np.zeros(40)
-        anchor[np.setdiff1d(np.arange(40), screen._index)[0]] = 1.0
-        g, read = screen.product(X, r, anchor)
-        np.testing.assert_array_equal(g, X @ r)
-        assert read == 40
-
-    def test_row_norms_guard_underflow(self):
-        X = np.array([[3.0, 4.0], [0.0, 0.0], [1e-170, 0.0], [0.0, -1e-300]])
-        np.testing.assert_array_equal(_row_norms(X), [5.0, 0.0, np.inf, np.inf])
 
 
 class TestLipschitzConstant:

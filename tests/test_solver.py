@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -9,6 +10,7 @@ from proxlogit import (
     KINDS,
     Dataset,
     LineSearchError,
+    PathSpec,
     Penalty,
     SolverOptions,
     VARIANTS,
@@ -21,9 +23,9 @@ from proxlogit import (
     objective,
     penalty_value,
     prox_vector,
-    sigmoid,
+    run_path,
 )
-from proxlogit import data as data_module, solver
+from proxlogit import solver
 from proxlogit.logistic import Products, margins
 from proxlogit.solver import _fista_t_next
 
@@ -627,7 +629,9 @@ class TestMatvecs:
         # A step scale far below the Lipschitz constant forces backtracking.
         res = fit(small_data, pen, SolverOptions(variant=variant, l0=0.01, max_iters=300))
         assert sum(res.trace.backtracks) > 0
-        assert res.matvecs == 1 + sum(2 + b for b in res.trace.backtracks)
+        # the start, a gradient and 1 + b candidates per iteration, and the
+        # recomputation of the returned objective
+        assert res.matvecs == 1 + sum(2 + b for b in res.trace.backtracks) + 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reverse_count(self, small_data, kind, monkeypatch):
@@ -687,29 +691,26 @@ class TestMatvecs:
         np.testing.assert_allclose(carried.beta, fresh.beta, rtol=1e-12, atol=1e-12)
 
 
-def record_products(monkeypatch, d):
+def record_products(monkeypatch):
     """Patch the kernels ``fit`` calls; return the feature rows each product reads.
 
     Returns two lists, one entry per margin product and one per gradient
     product; a margin call on a block of K coefficient rows makes K products.
-    A margin product reads the k rows of its support (for a block, the union
-    of its rows' supports) when 4 k <= d, else all d; a gradient product reads
-    all d, or, through a screen, the rows the holder's ``read`` count grew by.
+    Every product reads all rows of the dataset it is made on: d on the full
+    data, |ws| on a working set.
     """
     margin_rows, gradient_rows = [], []
     real_margins, real_gradient = solver.margins, solver.gradient_from_margins
 
-    def recording_margins(beta, *args, **kwargs):
-        block = np.atleast_2d(beta)
-        k = np.count_nonzero(np.any(block, axis=0))
-        margin_rows.extend([k if 4 * k <= d else d] * len(block))
-        return real_margins(beta, *args, **kwargs)
+    def recording_margins(beta, data, *args, **kwargs):
+        margin_rows.extend([data.n_features] * len(np.atleast_2d(beta)))
+        return real_margins(beta, data, *args, **kwargs)
 
-    def recording_gradient(z, data, holder, anchor):
-        before, products = holder.read, holder.products
-        g = real_gradient(z, data, holder, anchor)
+    def recording_gradient(z, data, holder):
+        products = holder.products
+        g = real_gradient(z, data, holder)
         assert holder.products == products + 1
-        gradient_rows.append(d if holder.screen is None else holder.read - before)
+        gradient_rows.append(data.n_features)
         return g
 
     monkeypatch.setattr(solver, "margins", recording_margins)
@@ -717,10 +718,33 @@ def record_products(monkeypatch, d):
     return margin_rows, gradient_rows
 
 
+def record_rounds(monkeypatch) -> list:
+    """Patch ``solver._descend`` to record each solve of a fit.
+
+    Returns one ``(iterations before the solve, rows of its dataset)`` pair
+    per solve: one for a fit on the full data, one per working set else.
+    """
+    rounds = []
+    real = solver._descend
+
+    def recording(data, beta, z, pen, opts, L0, lip, holder, trace, start):
+        rounds.append((len(trace), data.n_features))
+        return real(data, beta, z, pen, opts, L0, lip, holder, trace, start)
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    return rounds
+
+
+def warm_start(data, fraction, variant="ista_bb") -> np.ndarray:
+    """The l1 solution at ``fraction`` of lambda_max, to warm-start a smaller weight."""
+    pen = Penalty.l1(fraction * lambda_max(data))
+    return fit(data, pen, SolverOptions(variant=variant)).beta
+
+
 class TestFeatureRows:
     @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
     def test_counts_rows_of_every_product(self, small_data, variant, kind, monkeypatch):
-        margin_rows, gradient_rows = record_products(monkeypatch, small_data.n_features)
+        margin_rows, gradient_rows = record_products(monkeypatch)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         res = fit(small_data, pen, SolverOptions(variant=variant, max_iters=300))
         assert res.matvecs == len(margin_rows) + len(gradient_rows)
@@ -731,7 +755,7 @@ class TestFeatureRows:
     def test_reverse_counts_rows_of_partial_blocks(self, small_data, kind, cap, monkeypatch):
         # from far above the Lipschitz step the ladder runs past one block
         # and often to the cap, which cuts the last block short
-        margin_rows, gradient_rows = record_products(monkeypatch, small_data.n_features)
+        margin_rows, gradient_rows = record_products(monkeypatch)
         scales = TestReverseSearch._record_prox_scales(monkeypatch)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         L0 = 1e3 * lipschitz_constant(small_data)
@@ -746,19 +770,23 @@ class TestFeatureRows:
 
     @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip", "ista_reverse"])
     def test_sparse_wide_fit_gathers(self, variant, monkeypatch):
-        # d > n at 0.3 lambda_max: most margin products read only the support
-        # rows, and most gradient products only the rows the screen keeps
+        # d > n at 0.3 lambda_max, warm-started from the 0.5 solution: most
+        # products are made on the gathered rows of a working set; the full
+        # data takes the start, one check per solve and the final objective
         data = make_dataset(seed=92, d=200, n=60)
         d = data.n_features
-        margin_rows, gradient_rows = record_products(monkeypatch, d)
+        beta0 = warm_start(data, 0.5, variant)
+        margin_rows, gradient_rows = record_products(monkeypatch)
+        rounds = record_rounds(monkeypatch)
         pen = Penalty.l1(0.3 * lambda_max(data))
-        res = fit(data, pen, SolverOptions(variant=variant))
+        res = fit(data, pen, SolverOptions(variant=variant, beta0=beta0))
         assert res.converged
-        assert len(gradient_rows) == res.n_iterations
-        gathered = sum(1 for r in margin_rows if r < d)
-        assert 2 * gathered >= len(margin_rows) > 0
-        screened = sum(1 for r in gradient_rows if r < d)
-        assert 2 * screened >= len(gradient_rows) > 0
+        assert all(rows < d for _, rows in rounds)
+        assert len(gradient_rows) == res.n_iterations + 1 + len(rounds)
+        assert gradient_rows.count(d) == 1 + len(rounds)
+        assert margin_rows.count(d) == 2
+        gathered = sum(1 for r in margin_rows + gradient_rows if r < d)
+        assert 2 * gathered >= res.matvecs > 0
         assert res.matvecs == len(margin_rows) + len(gradient_rows)
         assert res.feature_rows == sum(margin_rows) + sum(gradient_rows) < d * res.matvecs
         assert res.final_objective == objective(res.beta, data, pen)
@@ -768,107 +796,110 @@ class TestFeatureRows:
     def test_nonconvex_gradients_read_every_row(self, kind, variant, monkeypatch):
         data = make_dataset(seed=92, d=200, n=60)
         d = data.n_features
-        margin_rows, gradient_rows = record_products(monkeypatch, d)
+        margin_rows, gradient_rows = record_products(monkeypatch)
         res = fit(data, penalty_of(kind, 0.3 * lambda_max(data)),
                   SolverOptions(variant=variant, max_iters=300))
         assert len(gradient_rows) == res.n_iterations > 0
         assert res.feature_rows == sum(margin_rows) + d * res.n_iterations
 
 
-def check_screened_gradients(monkeypatch, lam):
-    """Patch ``solver.gradient_from_margins`` to check every screened gradient.
-
-    Beside each call the full product X (sigmoid(z) - y) is computed.  A
-    coordinate of a screened gradient that is bitwise the value of the last
-    full product is stale: the full product there must be below ``lam`` and
-    the anchor zero.  Every other coordinate must match the full product
-    within 1e-12 (|X| @ |r|), and there can be no more of them than rows
-    read.  Returns the rows each call read.
-    """
-    rows = []
-    reference = []
-    real = solver.gradient_from_margins
-
-    def checking(z, data, holder, anchor):
-        assert holder.screen is not None
-        before = holder.read
-        g = real(z, data, holder, anchor)
-        k = holder.read - before
-        X = data.features
-        r = sigmoid(z) - data.labels
-        full = X @ r
-        if k == data.n_features:
-            np.testing.assert_array_equal(g, full)
-            reference[:] = [g.copy()]
-        else:
-            stale = g == reference[0]
-            assert np.all(np.abs(full[stale]) < lam)
-            assert not np.any(stale[np.flatnonzero(anchor)])
-            fresh = ~stale
-            bound = 1e-12 * (np.abs(X) @ np.abs(r))
-            assert np.all(np.abs(g[fresh] - full[fresh]) <= bound[fresh])
-            assert np.count_nonzero(fresh) <= k
-        rows.append(k)
-        return g
-
-    monkeypatch.setattr(solver, "gradient_from_margins", checking)
-    return rows
+def full_check(beta, data, lam) -> bool:
+    """Whether every zero coordinate meets |g_j| <= lam (1 + 1e-9) on the full data."""
+    g = loss_gradient(beta, data)
+    return bool(np.all(np.abs(g[beta == 0.0]) <= lam * (1 + 1e-9)))
 
 
-class TestGradientScreen:
+class TestWorkingSet:
     @pytest.mark.parametrize("variant", VARIANTS)
-    @pytest.mark.parametrize("fraction", [0.1, 0.3])
-    def test_screened_gradients_match_full_products(self, variant, fraction, monkeypatch):
-        data = make_dataset(seed=93, d=200, n=60)
-        pen = Penalty.l1(fraction * lambda_max(data))
-        rows = check_screened_gradients(monkeypatch, pen.lam)
-        res = fit(data, pen, SolverOptions(variant=variant))
-        assert res.converged
-        assert len(rows) == res.n_iterations
-        assert sum(1 for k in rows if k < data.n_features) > 0
+    def test_warm_path_points_meet_the_full_check(self, variant):
+        data = make_dataset(seed=94, d=150, n=50)
+        spec = PathSpec(Penalty.l1(1.0), SolverOptions(variant=variant),
+                        fractions=(0.05, 0.1, 0.2, 0.3, 0.5, 0.8))
+        points = run_path(data, spec)
+        for pt in points[1:]:
+            assert pt.result.converged
+            assert full_check(pt.result.beta, data, pt.lam)
+
+    @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip"])
+    def test_sets_start_from_the_support_and_at_most_double(self, variant, monkeypatch):
+        data = make_dataset(seed=95, d=200, n=60)
+        beta0 = warm_start(data, 0.4, variant)
+        features = []
+        real = solver.Dataset
+
+        def recording(X, y):
+            features.append(X)
+            return real(X, y)
+
+        monkeypatch.setattr(solver, "Dataset", recording)
+        fit(data, Penalty.l1(0.05 * lambda_max(data)), SolverOptions(variant=variant, beta0=beta0))
+        sizes = [len(X) for X in features]
+        assert sizes[0] == max(10, 2 * np.count_nonzero(beta0)) and len(sizes) > 1
+        assert all(a < b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        rows = {row.tobytes(): j for j, row in enumerate(data.features)}
+        first = [rows[row.tobytes()] for row in features[0]]
+        assert first == sorted(first)
+        assert set(np.flatnonzero(beta0)) <= set(first)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_cut_fit_numbers_its_iterations_on(self, variant, monkeypatch):
+        data = make_dataset(seed=95, d=200, n=60)
+        beta0 = warm_start(data, 0.4, variant)
+        pen = Penalty.l1(0.1 * lambda_max(data))
+        rounds = record_rounds(monkeypatch)
+        whole = fit(data, pen, SolverOptions(variant=variant, beta0=beta0))
+        assert whole.converged and len(rounds) > 1
+        # at the end of the first solve, and inside the last one
+        for cap in (rounds[1][0], whole.n_iterations - 1):
+            res = fit(data, pen, SolverOptions(variant=variant, beta0=beta0, max_iters=cap))
+            assert not res.converged
+            assert res.trace.iterations == list(range(1, cap + 1))
+            assert res.trace.objectives == whole.trace.objectives[:cap]
+            assert res.final_objective == objective(res.beta, data, pen)
+
+    @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
+    def test_cold_l1_and_warm_nonconvex_fits_read_every_row(self, variant, kind, monkeypatch):
+        data = make_dataset(seed=92, d=200, n=60)
+        d = data.n_features
+        pen = penalty_of(kind, 0.3 * lambda_max(data))
+        beta0 = "zeros" if kind == "l1" else warm_start(data, 0.5)
+        margin_rows, gradient_rows = record_products(monkeypatch)
+        rounds = record_rounds(monkeypatch)
+        res = fit(data, pen, SolverOptions(variant=variant, beta0=beta0, max_iters=300))
+        assert rounds == [(0, d)]
+        assert set(margin_rows + gradient_rows) == {d}
+        assert res.feature_rows == d * res.matvecs
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("max_iters", [0, 3, 10_000])
+    def test_final_objective_is_bitwise_recomputation(self, variant, max_iters):
+        data = make_dataset(seed=96, d=120, n=50)
+        pen = Penalty.l1(0.1 * lambda_max(data))
+        beta0 = warm_start(data, 0.3, variant)
+        res = fit(data, pen, SolverOptions(variant=variant, beta0=beta0, max_iters=max_iters))
+        assert res.final_objective == objective(res.beta, data, pen)
+        if max_iters == 0:
+            np.testing.assert_array_equal(res.beta, beta0)
 
     @given(st.integers(8, 60), st.integers(2, 30), st.floats(0.05, 0.95),
            st.sampled_from(["ista_bb", "fista_lip"]), st.data())
     @settings(max_examples=40)
-    def test_screen_is_safe_at_any_scale(self, d, n, fraction, variant, draw):
-        # rows scaled by 10**u for u in [-3, 3], and one zero row
+    def test_warm_fit_is_safe_at_any_scale(self, d, n, fraction, variant, draw):
+        # rows scaled by 10**u for u in [-3, 3], and one zero row; the start
+        # is the solution at a larger weight
         seed = draw.draw(st.integers(0, 2 ** 32 - 1), label="seed")
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(d, n)) * 10.0 ** rng.uniform(-3, 3, size=(d, 1))
         X[rng.integers(d)] = 0.0
         y = np.arange(n) % 2.0
         data = Dataset(X, y)
-        pen = Penalty.l1(fraction * lambda_max(data))
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            check_screened_gradients(monkeypatch, pen.lam)
-            res = fit(data, pen, SolverOptions(variant=variant, max_iters=500))
+        lam_top = lambda_max(data)
+        opts = SolverOptions(variant=variant, max_iters=500)
+        beta0 = fit(data, Penalty.l1(min(1.0, 1.5 * fraction) * lam_top), opts).beta
+        pen = Penalty.l1(fraction * lam_top)
+        res = fit(data, pen, dataclasses.replace(opts, beta0=beta0))
         assert np.all(np.isfinite(res.beta))
         assert res.final_objective == objective(res.beta, data, pen)
-
-
-class TestFeatureNorms:
-    @staticmethod
-    def count_norms(monkeypatch) -> list:
-        calls = []
-        real = data_module._row_norms
-
-        def counting(X):
-            calls.append(X.shape)
-            return real(X)
-
-        monkeypatch.setattr(data_module, "_row_norms", counting)
-        return calls
-
-    def test_computed_once_per_dataset(self, monkeypatch):
-        calls = self.count_norms(monkeypatch)
-        data = make_dataset(seed=97, d=80, n=40)
-        pen = Penalty.l1(0.3 * lambda_max(data))
-        first, second = fit(data, pen), fit(data, pen, SolverOptions(variant="fista_lip"))
-        assert first.converged and second.converged
-        assert calls == [(80, 40)]
-        fold = Dataset(data.features[:, :30], data.labels[:30])  # as a CV fold is made
-        fit(fold, Penalty.l1(0.3 * lambda_max(fold)))
-        assert calls == [(80, 40), (80, 30)]
 
 
 class TestFitClock:
