@@ -27,7 +27,7 @@ import time
 
 import numpy as np
 
-from .data import DataError, SyntheticSpec, generate_synthetic, load_csv, load_libsvm
+from .data import DataError, Dataset, SyntheticSpec, generate_synthetic, load_csv, load_libsvm
 from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
 from .solver import NNZ_TOL, VARIANTS, SolverOptions, fit, nonzero_count
@@ -142,7 +142,7 @@ class RunConfig:
     theta: float | None = _field(None, "penalty.theta", "--theta", float,
                                  help="SCAD/MCP shape parameter")
     epsilon: float | None = _field(None, "penalty.epsilon", "--epsilon", float,
-                                   help="capped-l1 cap")
+                                   help="capped-l1 cap (default: half of lambda_max)")
 
     variant: str = _field("ista_bb", "solver.variant", "--variant", _choice(VARIANTS))
     eta: float = _field(2.0, "solver.eta", "--eta", float,
@@ -247,6 +247,7 @@ def _load_dataset(cfg: RunConfig):
 
 
 def _build_penalty(cfg: RunConfig, lam: float) -> Penalty:
+    """The penalty at ``lam``; subcommands build it at lambda_max, then replace ``lam``."""
     if cfg.penalty == SCAD:
         return Penalty.scad(lam, theta=cfg.theta if cfg.theta is not None else 3.7)
     if cfg.penalty == MCP:
@@ -315,7 +316,7 @@ def cmd_train(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     lam_top = lambda_max(data)
     lam = cfg.lambda_frac * lam_top
-    pen = _build_penalty(cfg, lam)
+    pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=lam)
     result = fit(data, pen, _build_options(cfg))
 
     _write_json(os.path.join(out, "coefficients.json"),
@@ -334,7 +335,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "matvecs": result.matvecs,
         "feature_rows": result.feature_rows,
         "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
-        "time_s": result.trace.times[-1] if len(result.trace) else 0.0,
+        "time_s": result.seconds,
     })
     return EXIT_OK if result.converged else EXIT_MAXITERS
 
@@ -352,10 +353,9 @@ def cmd_path(cfg: RunConfig) -> int:
         fh.write("fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows\n")
         for pt in points:
             res = pt.result
-            elapsed = res.trace.times[-1] if len(res.trace) else 0.0
             fh.write(",".join([
                 format(pt.fraction, "g"), _fmt(pt.lam), _fmt(res.final_objective),
-                str(res.n_iterations), str(res.nnz), _fmt(elapsed),
+                str(res.n_iterations), str(res.nnz), _fmt(res.seconds),
                 str(res.matvecs), str(res.feature_rows),
             ]) + "\n")
     for pt in points:
@@ -406,14 +406,16 @@ def cmd_bench(cfg: RunConfig) -> int:
                              n_nonzero=max(1, d // 10), noise_scale=0.0,
                              seed=cfg.seed + ci)
         data, _ = generate_synthetic(spec)
-        lam = cfg.lambda_frac * lambda_max(data)
-        pen = _build_penalty(cfg, lam)
+        lam_top = lambda_max(data)
+        pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=cfg.lambda_frac * lam_top)
         for variant in cfg.bench_variants:
             opts = _build_options(cfg, variant=variant)
             times, iters = [], []
             for _ in range(cfg.repetitions):
+                # A fresh dataset, so every timed fit makes its own Lipschitz estimate.
+                fresh = Dataset(data.features, data.labels)
                 t0 = time.perf_counter()
-                result = fit(data, pen, opts)
+                result = fit(fresh, pen, opts)
                 times.append(time.perf_counter() - t0)
                 iters.append(result.n_iterations)
             rows.append((variant, n, d, statistics.median(times),

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from .logistic import sigmoid
+from .logistic import lipschitz_constant, sigmoid
 
 __all__ = [
     "DataError",
@@ -66,6 +66,16 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.features.shape[1]
+
+    @property
+    def lipschitz(self) -> float:
+        """``lipschitz_constant(self)``, estimated on first read and kept, as X is read-only.
+
+        Concurrent first reads may each estimate; they store the same value.
+        """
+        if "_lipschitz" not in self.__dict__:
+            self.__dict__["_lipschitz"] = lipschitz_constant(self)
+        return self.__dict__["_lipschitz"]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -80,16 +80,14 @@ class PathPoint:
 def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
     """Solve at lambda = fraction * lambda_max for every fraction, largest first.
 
-    With ``warm_start`` each point starts from the previous solution.  The
-    Lipschitz constant is estimated at most once per path: each point hands
-    ``FitResult.lipschitz`` to the next fit, which leaves every result
-    bitwise unchanged.  Solver failures are re-raised with the offending
-    fraction named.
+    With ``warm_start`` each point starts from the previous solution.  Every
+    point reads ``data.lipschitz``, so a dataset makes at most one estimate
+    however many paths run on it.  Solver failures are re-raised with the
+    offending fraction named.
     """
     lam_top = lambda_max(data)
     points: list[PathPoint] = []
     beta_prev: np.ndarray | None = None
-    lip: float | None = None
     for frac in sorted(spec.fractions, reverse=True):
         lam = frac * lam_top
         pen = dataclasses.replace(spec.pen_template, lam=lam)
@@ -97,10 +95,10 @@ def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
         if spec.warm_start and beta_prev is not None:
             opts = dataclasses.replace(spec.opts, beta0=beta_prev)
         try:
-            result = fit(data, pen, opts, lipschitz=lip)
+            result = fit(data, pen, opts)
         except Exception as exc:
             raise RuntimeError(f"path point at fraction {frac:g} failed: {exc}") from exc
-        beta_prev, lip = result.beta, result.lipschitz
+        beta_prev = result.beta
         points.append(PathPoint(fraction=frac, lam=lam, result=result))
     return points
 

@@ -146,10 +146,13 @@ def _pick(a: np.ndarray, b: np.ndarray, t: np.ndarray, pen: Penalty, L: float) -
     """The candidate a <= b of smaller prox objective at t; a wins a tie.
 
     Written as ``fa <= fb`` so that the NaN objective of an infinite t
-    selects the unbounded candidate b.
+    selects the unbounded candidate b.  At extreme feature scales the
+    objective of a candidate far from t overflows to inf, which loses the
+    comparison as its true value would, so the overflow is not reported.
     """
-    fa = 0.5 * L * (a - t) ** 2 + _g_abs(a, pen)
-    fb = 0.5 * L * (b - t) ** 2 + _g_abs(b, pen)
+    with np.errstate(over="ignore"):
+        fa = 0.5 * L * (a - t) ** 2 + _g_abs(a, pen)
+        fb = 0.5 * L * (b - t) ** 2 + _g_abs(b, pen)
     return np.where(fa <= fb, a, b)
 
 

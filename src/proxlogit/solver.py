@@ -11,13 +11,13 @@ search runs, and whether Nesterov momentum extrapolates the anchor.
     ista_vanilla   carried L                        forward   no
     fista_vanilla  the fista_lip row
 
-For every variant L0 is the Lipschitz constant of the loss gradient unless
-``SolverOptions.l0`` fixes it, so ``fista_lip`` and ``fista_vanilla`` are one
-algorithm under two names.  A forward search grows L from its seed by ``eta``
-until the criterion passes, so a carried L never shrinks; the reverse search
-shrinks L from L0 while candidates pass and keeps the last passing one.
-Momentum does not keep descent monotone under the nonconvex penalties, so its
-variants take the l1 penalty only.
+For every variant L0 is the Lipschitz constant of the loss gradient,
+``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes it, so ``fista_lip``
+and ``fista_vanilla`` are one algorithm under two names.  A forward search
+grows L from its seed by ``eta`` until the criterion passes, so a carried L
+never shrinks; the reverse search shrinks L from L0 while candidates pass and
+keeps the last passing one.  Momentum does not keep descent monotone under the
+nonconvex penalties, so its variants take the l1 penalty only.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -53,8 +53,8 @@ on the full data.  So does every fit under a nonconvex penalty, whose
 optimality condition is not |g_j| <= lam.  Each fit passes its own
 ``logistic.Products`` holder to every product it makes, which counts the
 products and the rows they read by the rule stated there.  The fit clock
-starts on entry to ``fit``, so ``Trace.times`` includes the Lipschitz
-estimate and the other set-up.
+starts on entry to ``fit``, so ``Trace.times`` and ``FitResult.seconds``
+include the Lipschitz estimate and the other set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -72,8 +72,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .logistic import (Products, gradient_from_margins, lipschitz_constant,
-                       loss_from_margins, loss_value, margins)
+from .logistic import (Products, gradient_from_margins, loss_from_margins, loss_value,
+                       margins)
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 __all__ = [
@@ -219,19 +219,16 @@ class Trace:
 class FitResult:
     """Outcome of one fit.
 
-    ``lipschitz`` is the loss-gradient Lipschitz constant the fit computed or
-    was given, or ``None`` when it neither needed nor received one; pass it
-    as ``fit(..., lipschitz=)`` to a later fit on the same features to skip
-    the estimate.  ``matvecs`` is the number of products with the feature
-    matrix (X' b or X r) the fit made, Lipschitz estimate excluded, and
-    ``feature_rows`` the number of feature rows they read; both are counted
-    by the rule of ``logistic.Products``.  Per iteration a fit makes one
-    gradient product and one margin product per evaluated candidate, each
-    row of an ``ista_reverse`` block included; it also makes one for the
-    starting point and one for recomputing ``final_objective`` =
-    ``objective(beta)``.  A working-set fit makes its iterations' products
-    on the set's rows, plus one full gradient at the start and one per
-    check.
+    ``seconds`` is the wall time from entry to return of ``fit``: set-up,
+    iterations and the final objective.  ``matvecs`` is the number of products
+    with the feature matrix (X' b or X r) the fit made, Lipschitz estimate
+    excluded, and ``feature_rows`` the number of feature rows they read; both
+    are counted by the rule of ``logistic.Products``.  Per iteration a fit
+    makes one gradient product and one margin product per evaluated
+    candidate, each row of an ``ista_reverse`` block included; it also makes
+    one for the starting point and one for recomputing ``final_objective`` =
+    ``objective(beta)``.  A working-set fit makes its iterations' products on
+    the set's rows, plus one full gradient at the start and one per check.
     """
 
     beta: np.ndarray
@@ -240,7 +237,7 @@ class FitResult:
     final_objective: float
     matvecs: int
     feature_rows: int
-    lipschitz: float | None = None
+    seconds: float
 
     @property
     def n_iterations(self) -> int:
@@ -408,14 +405,15 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
 
 
 def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
-             lip, holder: Products, trace: Trace, start: float):
+             full: Dataset, holder: Products, trace: Trace, start: float):
     """Iterate from ``beta``, whose margins on ``data`` are ``z_beta``, until the stop.
 
     Appends every iteration to ``trace``, numbered on from its last one, and
     stops at the relative-change test (converged) or once ``trace`` holds
-    ``opts.max_iters`` iterations.  ``lip`` returns the Lipschitz constant
-    for the BB clamp.  Returns the last iterate, its margins and whether it
-    converged.
+    ``opts.max_iters`` iterations.  The BB seed is clamped around
+    ``full.lipschitz``, read only then: ``full`` is the whole dataset, whose
+    constant bounds that of a working set ``data``.  Returns the last
+    iterate, its margins and whether it converged.
     """
     policy = _POLICIES[opts.variant]
     sufficient = pen.kind != L1
@@ -438,8 +436,9 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
         if policy.seed == "carried":
             L_seed = L_carry
         elif policy.seed == "bb" and bb_prev is not None:
-            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=lip())
-            L_seed = min(max(L_seed, lip() / _BB_CLAMP), lip() * _BB_CLAMP)
+            lip = full.lipschitz
+            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=lip)
+            L_seed = min(max(L_seed, lip / _BB_CLAMP), lip * _BB_CLAMP)
         else:
             L_seed = L0
         bb_prev = (anchor, grad)
@@ -503,8 +502,7 @@ def _working_set(data: Dataset, beta, z_beta, lam: float, holder: Products, desc
         ws = np.union1d(ws, violators)
 
 
-def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
-        lipschitz: float | None = None) -> FitResult:
+def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitResult:
     """Run the selected solver variant and return the fitted coefficients.
 
     The l1 penalty uses the quadratic-upper-model line-search criterion, the
@@ -519,30 +517,17 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     optimality check, and all of its solves share ``opts.max_iters``.  Every
     other fit iterates on the full data.
 
-    The Lipschitz constant of the loss gradient is estimated by Lanczos (see
-    ``lipschitz_constant``) the first time the variant needs it, and at most
-    once per fit; a working set reuses the full data's, which bounds its
-    own.  ``lipschitz`` supplies it instead.  Given the value
-    ``lipschitz_constant(data)`` returns, or ``FitResult.lipschitz`` of an
-    earlier fit on the same features, the fit is bitwise equal to one that
-    estimates it.  ``run_path`` does this, so a whole path makes at most one
-    estimate.
+    The fit reads ``data.lipschitz`` only where the variant needs it: for
+    L0 when ``opts.l0`` is unset, and for the BB clamp.  ``Dataset`` keeps
+    the estimate, so all fits on one dataset, every point of a path
+    included, make at most one; a working set reads the full data's, which
+    bounds its own.
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
     if _POLICIES[opts.variant].momentum and pen.kind != L1:
         raise ValueError(f"variant {opts.variant!r} supports only the l1 penalty")
-    if lipschitz is not None and not 0.0 < lipschitz < math.inf:
-        raise ValueError(f"lipschitz must be a positive finite number, got {lipschitz}")
-
-    lip_cache: dict[str, float] = {} if lipschitz is None else {"L": lipschitz}
-
-    def lip() -> float:
-        if "L" not in lip_cache:
-            lip_cache["L"] = lipschitz_constant(data)
-        return lip_cache["L"]
-
-    L0 = lip() if opts.l0 is None else float(opts.l0)
+    L0 = data.lipschitz if opts.l0 is None else float(opts.l0)
     if L0 == 0.0:
         raise ValueError("initial step scale is zero (zero feature matrix)")
     if not math.isfinite(L0):
@@ -554,7 +539,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     trace = Trace(f0=loss_from_margins(z_beta, data) + penalty_value(beta, pen))
 
     def descend(sub: Dataset, b, z):
-        return _descend(sub, b, z, pen, opts, L0, lip, holder, trace, start)
+        return _descend(sub, b, z, pen, opts, L0, data, holder, trace, start)
 
     if pen.kind == L1 and not isinstance(opts.beta0, str):
         beta, converged = _working_set(data, beta, z_beta, pen.lam, holder, descend)
@@ -564,5 +549,5 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None, *,
     # product: report beta's objective as ``objective`` computes it.
     final = loss_from_margins(margins(beta, data, holder), data) + penalty_value(beta, pen)
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=final,
-                     lipschitz=lip_cache.get("L"), matvecs=holder.products,
-                     feature_rows=holder.read)
+                     matvecs=holder.products, feature_rows=holder.read,
+                     seconds=time.perf_counter() - start)

@@ -31,15 +31,15 @@ def small_data() -> Dataset:
 
 @pytest.fixture
 def lipschitz_calls(monkeypatch) -> list:
-    """Record the dataset of every Lipschitz estimate that ``fit`` makes."""
-    from proxlogit import solver
+    """Record the dataset of every Lipschitz estimate that ``Dataset.lipschitz`` makes."""
+    from proxlogit import data
 
     calls = []
-    real = solver.lipschitz_constant
+    real = data.lipschitz_constant
 
     def counting(data, *args, **kwargs):
         calls.append(data)
         return real(data, *args, **kwargs)
 
-    monkeypatch.setattr(solver, "lipschitz_constant", counting)
+    monkeypatch.setattr(data, "lipschitz_constant", counting)
     return calls

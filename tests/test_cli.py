@@ -67,6 +67,32 @@ class TestTrain:
         code = main(["train", *SYNTH, "--max-iters", "0", "--out", out])
         assert code == EXIT_MAXITERS
 
+    def test_time_covers_the_whole_fit(self, tmp_path):
+        # a 0-iteration fit still makes the Lipschitz estimate and the final objective
+        out = str(tmp_path / "zero")
+        assert main(["train", *SYNTH, "--max-iters", "0", "--out", out]) == EXIT_MAXITERS
+        assert json.loads(read(os.path.join(out, "summary.json")))["time_s"] > 0
+        out = str(tmp_path / "run")
+        assert main(["train", *SYNTH, "--out", out]) == EXIT_OK
+        last_row = read(os.path.join(out, "trace.csv")).strip().split("\n")[-1]
+        summary = json.loads(read(os.path.join(out, "summary.json")))
+        assert summary["time_s"] >= float(last_row.split(",")[-1]) > 0
+
+    def test_default_cap_matches_cold_path_point(self, tmp_path):
+        # without --epsilon the capped-l1 cap is half of lambda_max in train as in path
+        args = [*SYNTH, "--penalty", "capped_l1", "--variant", "ista_vanilla"]
+        train, path = str(tmp_path / "train"), str(tmp_path / "path")
+        assert main(["train", *args, "--lambda-frac", "0.05", "--out", train]) == EXIT_OK
+        assert main(["path", *args, "--fractions", "0.05,0.5", "--warm-start", "false",
+                     "--out", path]) == EXIT_OK
+        assert read(os.path.join(train, "coefficients.json")) == \
+            read(os.path.join(path, "coefficients_0.05.json"))
+        row = read(os.path.join(path, "path.csv")).strip().split("\n")[-1].split(",")
+        summary = json.loads(read(os.path.join(train, "summary.json")))
+        assert row[0] == "0.05"
+        assert (summary["final_objective"], summary["iterations"]) == (float(row[2]),
+                                                                       int(row[3]))
+
     def test_missing_dataset_exits_1(self, tmp_path, capsys):
         code = main(["train", "--format", "csv", "--data", "/nonexistent/file.csv",
                      "--out", str(tmp_path / "run")])

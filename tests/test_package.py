@@ -42,3 +42,13 @@ def test_solver_options_fields_are_pinned():
 
 def test_lipschitz_constant_takes_only_the_data():
     assert list(inspect.signature(proxlogit.lipschitz_constant).parameters) == ["data"]
+
+
+def test_fit_takes_only_data_penalty_and_options():
+    # a value the dataset or the options already carry is no extra parameter
+    assert list(inspect.signature(proxlogit.fit).parameters) == ["data", "pen", "opts"]
+
+
+def test_fit_result_fields_are_pinned():
+    assert [f.name for f in dataclasses.fields(solver.FitResult)] == [
+        "beta", "converged", "trace", "final_objective", "matvecs", "feature_rows", "seconds"]

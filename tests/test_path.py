@@ -97,9 +97,16 @@ class TestRunPath:
 
     def test_fixed_l0_path_never_estimates(self, small_data, lipschitz_calls):
         opts = SolverOptions(variant="ista_vanilla", l0=1.0)
-        points = run_path(small_data, PathSpec(pen_template=Penalty.mcp(1.0, 3.0), opts=opts))
+        run_path(small_data, PathSpec(pen_template=Penalty.mcp(1.0, 3.0), opts=opts))
         assert lipschitz_calls == []
-        assert all(p.result.lipschitz is None for p in points)
+        small_data.lipschitz
+        assert lipschitz_calls == [small_data]
+
+    def test_two_paths_share_one_estimate(self, small_data, lipschitz_calls):
+        for variant in ("ista_bb", "fista_lip"):
+            run_path(small_data, PathSpec(pen_template=Penalty.l1(1.0),
+                                          opts=SolverOptions(variant=variant)))
+        assert lipschitz_calls == [small_data]
 
     def test_shared_estimate_is_bitwise_equal_to_per_fit_estimates(self, small_data):
         spec = PathSpec(pen_template=Penalty.scad(1.0, 3.7),

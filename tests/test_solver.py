@@ -25,7 +25,7 @@ from proxlogit import (
     prox_vector,
     run_path,
 )
-from proxlogit import solver
+from proxlogit import data as data_module, solver
 from proxlogit.logistic import Products, margins
 from proxlogit.solver import _fista_t_next
 
@@ -558,41 +558,61 @@ class TestFit:
 
 
 class TestFitLipschitz:
+    """``fit`` reads ``Dataset.lipschitz``, which estimates once per dataset."""
+
     @pytest.mark.parametrize("variant, kind", [(v, "l1") for v in VARIANTS] + [
         (v, "mcp") for v in VARIANTS if not v.startswith("fista")])
-    def test_given_constant_is_bitwise_equal(self, small_data, variant, kind):
+    def test_given_constant_is_bitwise_equal(self, small_data, lipschitz_calls, variant, kind):
+        # A second fit is given the constant the first one estimated.
         lam = 0.1 * lambda_max(small_data)
         pen = Penalty.l1(lam) if kind == "l1" else Penalty.mcp(lam, 3.0)
         opts = SolverOptions(variant=variant, max_iters=300)
-        plain = fit(small_data, pen, opts)
-        L = lipschitz_constant(small_data)
-        given = fit(small_data, pen, opts, lipschitz=L)
-        np.testing.assert_array_equal(given.beta, plain.beta)
-        assert given.final_objective == plain.final_objective
-        assert given.trace.objectives == plain.trace.objectives
-        assert given.trace.step_scales == plain.trace.step_scales
-        assert plain.lipschitz == given.lipschitz == L
+        first = fit(small_data, pen, opts)
+        second = fit(small_data, pen, opts)
+        assert lipschitz_calls == [small_data]
+        fresh = fit(Dataset(small_data.features, small_data.labels), pen, opts)
+        for other in (second, fresh):
+            np.testing.assert_array_equal(other.beta, first.beta)
+            assert other.final_objective == first.final_objective
+            assert other.trace.objectives == first.trace.objectives
+            assert other.trace.step_scales == first.trace.step_scales
+            assert (other.matvecs, other.feature_rows) == (first.matvecs, first.feature_rows)
 
     def test_estimates_once_and_reports_it(self, small_data, lipschitz_calls):
-        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb"))
+        fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb"))
+        assert lipschitz_calls == [small_data]
+        assert small_data.lipschitz == lipschitz_constant(small_data)
         assert len(lipschitz_calls) == 1
-        assert res.lipschitz == lipschitz_constant(small_data)
 
     def test_given_constant_skips_estimate(self, small_data, lipschitz_calls):
-        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"),
-                  lipschitz=3.0)
-        assert lipschitz_calls == []
-        assert res.lipschitz == 3.0
+        L = small_data.lipschitz
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"))
+        assert lipschitz_calls == [small_data]
+        assert res.trace.step_scales[0] >= L
 
     def test_fixed_l0_never_estimates(self, small_data, lipschitz_calls):
-        res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_vanilla", l0=1.0))
+        fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_vanilla", l0=1.0))
         assert lipschitz_calls == []
-        assert res.lipschitz is None
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_rejects_bad_constant(self, small_data, bad):
-        with pytest.raises(ValueError, match="lipschitz"):
-            fit(small_data, Penalty.l1(0.5), lipschitz=bad)
+    def test_fixed_l0_bb_estimates_at_its_first_clamp(self, small_data, lipschitz_calls):
+        # The first iteration seeds at l0; the BB clamp of the second reads the constant.
+        pen = Penalty.l1(0.1 * lambda_max(small_data))
+        fit(small_data, pen, SolverOptions(variant="ista_bb", l0=1.0, max_iters=1))
+        assert lipschitz_calls == []
+        fit(small_data, pen, SolverOptions(variant="ista_bb", l0=1.0, max_iters=2))
+        assert lipschitz_calls == [small_data]
+
+    @pytest.mark.parametrize("l0", [None, 1.0])
+    def test_working_set_reads_the_full_estimate(self, small_data, lipschitz_calls, l0,
+                                                 monkeypatch):
+        beta0 = warm_start(small_data, 0.5)
+        data = Dataset(small_data.features, small_data.labels)
+        lipschitz_calls.clear()
+        rounds = record_rounds(monkeypatch)
+        opts = SolverOptions(variant="ista_bb", l0=l0, beta0=beta0)
+        fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
+        assert rounds and all(rows < data.n_features for _, rows in rounds)
+        assert lipschitz_calls == [data]
 
     def test_rejects_infinite_l0(self, small_data):
         with pytest.raises(ValueError, match="finite"):
@@ -727,9 +747,9 @@ def record_rounds(monkeypatch) -> list:
     rounds = []
     real = solver._descend
 
-    def recording(data, beta, z, pen, opts, L0, lip, holder, trace, start):
+    def recording(data, beta, z, pen, opts, L0, full, holder, trace, start):
         rounds.append((len(trace), data.n_features))
-        return real(data, beta, z, pen, opts, L0, lip, holder, trace, start)
+        return real(data, beta, z, pen, opts, L0, full, holder, trace, start)
 
     monkeypatch.setattr(solver, "_descend", recording)
     return rounds
@@ -904,15 +924,21 @@ class TestWorkingSet:
 
 class TestFitClock:
     def test_clock_includes_lipschitz_estimate(self, small_data, monkeypatch):
-        real = solver.lipschitz_constant
+        real = data_module.lipschitz_constant
 
         def slow(data, *args, **kwargs):
             time.sleep(0.05)
             return real(data, *args, **kwargs)
 
-        monkeypatch.setattr(solver, "lipschitz_constant", slow)
+        monkeypatch.setattr(data_module, "lipschitz_constant", slow)
         res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb", max_iters=3))
         assert res.trace.times[-1] >= 0.05
+        assert res.seconds >= res.trace.times[-1]
+
+    def test_seconds_cover_a_zero_iteration_fit(self, small_data):
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(max_iters=0))
+        assert len(res.trace) == 0
+        assert res.seconds > 0
 
 
 class TestSolverOptionsValidation:
