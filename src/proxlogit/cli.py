@@ -4,9 +4,9 @@ Runs are configured by an INI-style file (``--config``) with sections
 ``[data] [synthetic] [penalty] [solver] [path] [cv] [bench] [output]`` and by
 flags; a flag overrides the config value.  ``RunConfig`` is the one table of
 settings: each field names its INI ``[section] key``, its flag and the
-subcommands that take it, and the one function that parses both the INI and
-the flag value.  An unknown section or key, or a value its parser rejects,
-is an error naming the key or flag.  Artifacts are
+subcommands that read it, and the one function that parses and range checks
+both the INI and the flag value.  An unknown section or key, or a value its
+parser rejects, is an error naming the key or flag.  Artifacts are
 CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
@@ -27,16 +27,18 @@ import time
 
 import numpy as np
 
-from .data import DataError, Dataset, SyntheticSpec, generate_synthetic, load_csv, load_libsvm
+from .data import (DataError, Dataset, SyntheticSpec, _with_intercept, generate_synthetic,
+                   load_csv, load_libsvm)
 from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
-from .solver import NNZ_TOL, VARIANTS, SolverOptions, fit, nonzero_count
+from .solver import NNZ_TOL, VARIANTS, SolverOptions, fit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_MAXITERS = 2
 
 TRACE_HEADER = "k,f,L_k,backtracks,nnz,time_s"
+_FITS = ("train", "path", "cv")  # load a dataset and fit one variant; bench makes its grid data
 
 
 class CliError(Exception):
@@ -80,6 +82,19 @@ def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(cells)
 
 
+def _checked(convert, ok, expected: str):
+    """A parser that converts the text, then rejects a value ``ok`` refuses."""
+    def parse(text: str):
+        if not ok(value := convert(text)):
+            raise CliError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
+
+
+_POSITIVE_FINITE = _checked(float, lambda v: 0 < v < np.inf, "a positive finite number")
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+
+
 def _parse_l0(text: str) -> float | None:
     if text.strip().lower() in ("", "lipschitz", "auto"):
         return None
@@ -90,11 +105,7 @@ def _parse_l0(text: str) -> float | None:
 
 
 def _choice(options):
-    def parse(text: str) -> str:
-        if text not in options:
-            raise CliError(f"expected one of {', '.join(options)}; got {text!r}")
-        return text
-
+    parse = _checked(str, options.__contains__, f"one of {', '.join(options)}")
     parse.metavar = "{" + ",".join(options) + "}"
     return parse
 
@@ -107,8 +118,10 @@ def _field(default, key, flag=None, parse=str, commands=("train", "path", "cv", 
            help=None, switch=False):
     """A ``RunConfig`` field read from INI ``key`` ("section.key") and from ``flag``.
 
-    Both raw strings go through ``parse``.  ``commands`` are the subcommands
-    that take the flag; a ``switch`` flag takes no value and means "true".
+    Both raw strings go through ``parse``.  ``commands`` are exactly the
+    subcommands that read the field: only they offer the flag, while every
+    subcommand takes every INI key, as one file may serve several.  A
+    ``switch`` flag takes no value and means "true".
     """
     return dataclasses.field(default=default, metadata={
         "key": key, "flag": flag, "parse": parse, "commands": commands, "help": help,
@@ -117,34 +130,35 @@ def _field(default, key, flag=None, parse=str, commands=("train", "path", "cv", 
 
 @dataclasses.dataclass
 class RunConfig:
-    data_path: str | None = _field(None, "data.path", "--data", help="dataset file path")
+    data_path: str | None = _field(None, "data.path", "--data", str, _FITS, help="dataset file")
     data_format: str = _field("csv", "data.format", "--format",
-                              _choice(("csv", "libsvm", "synthetic")),
+                              _choice(("csv", "libsvm", "synthetic")), _FITS,
                               help="dataset format (synthetic generates data in-process)")
-    label_column: int = _field(0, "data.label_column", "--label-column", int,
+    label_column: int = _field(0, "data.label_column", "--label-column", int, _FITS,
                                help="zero-based label column for CSV input")
-    has_header: bool = _field(False, "data.has_header", "--has-header", _parse_bool,
+    has_header: bool = _field(False, "data.has_header", "--has-header", _parse_bool, _FITS,
                               help="skip the first CSV line", switch=True)
     add_intercept: bool = _field(False, "data.add_intercept", "--add-intercept", _parse_bool,
-                                 help="append a constant-1 feature (penalized like the rest)",
-                                 switch=True)
-    n_features_hint: int | None = _field(None, "data.n_features", parse=int)
+                                 _FITS, switch=True,
+                                 help="append a constant-1 feature (penalized like the rest)")
+    n_features_hint: int | None = _field(None, "data.n_features", None, int, _FITS)
 
-    synth_samples: int = _field(200, "synthetic.n_samples", "--synthetic-samples", int)
-    synth_features: int = _field(50, "synthetic.n_features", "--synthetic-features", int)
-    synth_nonzero: int = _field(5, "synthetic.n_nonzero", "--synthetic-nonzero", int)
-    synth_noise: float = _field(0.0, "synthetic.noise_scale", "--synthetic-noise", float)
-    synth_seed: int = _field(0, "synthetic.seed", "--synthetic-seed", int)
+    synth_samples: int = _field(200, "synthetic.n_samples", "--synthetic-samples", int, _FITS)
+    synth_features: int = _field(50, "synthetic.n_features", "--synthetic-features", int, _FITS)
+    synth_nonzero: int = _field(5, "synthetic.n_nonzero", "--synthetic-nonzero", int, _FITS)
+    synth_noise: float = _field(0.0, "synthetic.noise_scale", "--synthetic-noise", float, _FITS)
+    synth_seed: int = _field(0, "synthetic.seed", "--synthetic-seed", int, _FITS)
 
     penalty: str = _field("l1", "penalty.kind", "--penalty", _choice(KINDS))
-    lambda_frac: float = _field(0.1, "penalty.lambda_frac", "--lambda-frac", float,
+    lambda_frac: float = _field(0.1, "penalty.lambda_frac", "--lambda-frac",
+                                _POSITIVE_FINITE, ("train", "bench"),
                                 help="lambda as a fraction of lambda_max")
     theta: float | None = _field(None, "penalty.theta", "--theta", float,
                                  help="SCAD/MCP shape parameter")
     epsilon: float | None = _field(None, "penalty.epsilon", "--epsilon", float,
                                    help="capped-l1 cap (default: half of lambda_max)")
 
-    variant: str = _field("ista_bb", "solver.variant", "--variant", _choice(VARIANTS))
+    variant: str = _field("ista_bb", "solver.variant", "--variant", _choice(VARIANTS), _FITS)
     eta: float = _field(2.0, "solver.eta", "--eta", float,
                         help="line-search growth factor (> 1)")
     l0: float | None = _field(None, "solver.l0", "--l0", _parse_l0,  # None: Lipschitz
@@ -153,7 +167,8 @@ class RunConfig:
     tol: float = _field(1e-9, "solver.tol", "--tol", float,
                         help="relative objective-change stop")
     max_backtracks: int = _field(100, "solver.max_backtracks", "--max-backtracks", int)
-    seed: int = _field(0, "solver.seed", "--seed", int)
+    seed: int = _field(0, "solver.seed", "--seed", int,
+                       help="seed of --beta0 random; bench also seeds cell i's data with seed + i")
     beta0: str = _field("zeros", "solver.beta0", "--beta0", _choice(("zeros", "random")))
 
     fractions: tuple[float, ...] = _field(DEFAULT_FRACTIONS, "path.fractions", "--fractions",
@@ -162,22 +177,23 @@ class RunConfig:
     warm_start: bool = _field(True, "path.warm_start", "--warm-start", _parse_bool,
                               ("path", "cv"), help="true/false")
 
-    folds: int = _field(5, "cv.folds", "--folds", int, ("cv",))
+    folds: int = _field(5, "cv.folds", "--folds",
+                        _checked(int, lambda v: v >= 2, "an integer >= 2"), ("cv",))
     cv_seed: int = _field(0, "cv.seed", "--cv-seed", int, ("cv",))
 
     grid: tuple[tuple[int, int], ...] = _field(((1000, 500), (1000, 1000)), "bench.grid",
                                                "--grid", _parse_grid, ("bench",),
                                                help="comma-separated SAMPLESxFEATURES cells")
-    repetitions: int = _field(3, "bench.repetitions", "--reps", int, ("bench",),
-                              help="repetitions per cell")
+    repetitions: int = _field(3, "bench.repetitions", "--reps", _AT_LEAST_1,
+                              ("bench",), help="repetitions per cell")
     bench_variants: tuple[str, ...] = _field(("ista_bb", "ista_reverse", "fista_lip"),
                                              "bench.variants", "--variants", _parse_variants,
                                              ("bench",),
                                              help="comma-separated solver variants")
 
     out_dir: str = _field("out", "output.dir", "--out", help="output directory")
-    trace_every: int = _field(1, "output.trace_every", "--trace-every", int,
-                              help="thin the emitted trace to every Nth iteration")
+    trace_every: int = _field(1, "output.trace_every", "--trace-every", _AT_LEAST_1,
+                              ("train",), help="thin the emitted trace to every Nth iteration")
 
 
 def _read_config_file(path: str) -> dict[str, tuple[str, str]]:
@@ -214,14 +230,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 values[f.name] = f.metadata["parse"](text)
             except (CliError, ValueError) as exc:
                 raise CliError(f"{where}: {exc}") from None
-    cfg = RunConfig(**values)
-    if not 0 < cfg.lambda_frac:
-        raise CliError("lambda_frac must be positive")
-    if cfg.trace_every < 1:
-        raise CliError("trace_every must be at least 1")
-    if cfg.repetitions < 1:
-        raise CliError("repetitions must be at least 1")
-    return cfg
+    return RunConfig(**values)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +243,7 @@ def _load_dataset(cfg: RunConfig):
                              n_nonzero=cfg.synth_nonzero, noise_scale=cfg.synth_noise,
                              seed=cfg.synth_seed)
         data, _ = generate_synthetic(spec)
-        return data
+        return Dataset(_with_intercept(data.features), data.labels) if cfg.add_intercept else data
     if not cfg.data_path:
         raise CliError("no dataset path given (use --data or [data] path)")
     if not os.path.exists(cfg.data_path):
@@ -284,7 +293,7 @@ def _write_trace_csv(path: str, trace, every: int) -> None:
             if i % every and i != last:
                 continue
             fh.write(",".join([
-                str(trace.iterations[i]), _fmt(trace.objectives[i]),
+                str(i + 1), _fmt(trace.objectives[i]),
                 _fmt(trace.step_scales[i]), str(trace.backtracks[i]),
                 str(trace.nonzeros[i]), _fmt(trace.times[i]),
             ]) + "\n")
@@ -365,8 +374,6 @@ def cmd_path(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    if cfg.folds < 2:
-        raise CliError("cv needs at least 2 folds")
     out = _ensure_out(cfg)
     data = _load_dataset(cfg)
     template = _build_penalty(cfg, lambda_max(data))
@@ -443,14 +450,15 @@ def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each with ``--config`` and its fields' flags.
 
     Flag values stay raw strings; ``_build_config`` parses them as it parses
-    the INI values.
+    the INI values.  Flags are not abbreviated: ``bench --variant`` would
+    otherwise pass for ``--variants``.
     """
     parser = argparse.ArgumentParser(
         prog="proxlogit",
         description="Proximal-gradient solvers for sparse logistic regression.")
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_text) in _COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
         p.add_argument("--config", help="INI config file; flags override it")
         for f in dataclasses.fields(RunConfig):
             m = f.metadata

@@ -93,8 +93,8 @@ class SyntheticSpec:
             raise ValueError("n_samples and n_features must be positive")
         if not 0 <= self.n_nonzero <= self.n_features:
             raise ValueError(f"n_nonzero must lie in [0, {self.n_features}], got {self.n_nonzero}")
-        if self.noise_scale < 0:
-            raise ValueError("noise_scale must be nonnegative")
+        if not self.noise_scale >= 0:  # NaN noise would make every label 0
+            raise ValueError(f"noise_scale must be nonnegative, got {self.noise_scale}")
 
 
 def _canonical_label(value: float, where: str) -> float:

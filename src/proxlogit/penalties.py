@@ -72,8 +72,8 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not (0 < self.lam < np.inf and np.isfinite(self.theta) and np.isfinite(self.epsilon)):
+            raise ValueError(f"lam must be positive, and every parameter finite; got {self}")
         if self.kind == SCAD and not self.theta > 2:
             raise ValueError(f"SCAD requires theta > 2, got {self.theta}")
         if self.kind == MCP and not self.theta > 1:

@@ -49,8 +49,10 @@ no feature outside the set violates it.  Near a warm start the solution's
 support is small and mostly known, so the products shrink from d rows to
 |ws|.  A cold start has no support to begin from, and a working set there
 holds FISTA's early iterates above its O(1/k^2) bound, so cold fits iterate
-on the full data.  So does every fit under a nonconvex penalty, whose
-optimality condition is not |g_j| <= lam.  Each fit passes its own
+on the full data.  So does every fit under a nonconvex penalty.  Its
+zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam for SCAD,
+MCP and capped l1, but no benchmark workload has the wide nonconvex data
+where a working set would pay.  Each fit passes its own
 ``logistic.Products`` holder to every product it makes, which counts the
 products and the rows they read by the rule stated there.  The fit clock
 starts on entry to ``fit``, so ``Trace.times`` and ``FitResult.seconds``
@@ -113,7 +115,7 @@ VARIANTS = tuple(_POLICIES)
 # carried in by warm starts.
 NNZ_TOL = 1e-10
 
-# The BB seed is clamped to this window around the Lipschitz constant.
+# The BB seed is clamped to this window around L0.
 _BB_CLAMP = 1e12
 
 # A reverse search tries at most this many scales L0 / eta**i.
@@ -162,14 +164,14 @@ class SolverOptions:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}; expected one of {VARIANTS}")
-        if not self.eta > 1:
-            raise ValueError(f"eta must exceed 1, got {self.eta}")
-        if self.l0 is not None and not self.l0 > 0:
-            raise ValueError(f"l0 must be positive, got {self.l0}")
+        if not 1 < self.eta < math.inf:
+            raise ValueError(f"eta must be finite and exceed 1, got {self.eta}")
+        if self.l0 is not None and not 0 < self.l0 < math.inf:
+            raise ValueError(f"l0 must be finite and positive, got {self.l0}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not 0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
         if self.max_backtracks < 1:
             raise ValueError("max_backtracks must be at least 1")
         if isinstance(self.beta0, str) and self.beta0 not in ("zeros", "random"):
@@ -179,17 +181,17 @@ class SolverOptions:
 class Trace:
     """Per-iteration solver records plus the starting objective.
 
-    Each completed iteration k appends the objective f(beta_k), the accepted
-    step scale L_k, the number of extra line-search trials beyond the first,
-    the nonzero count, the cumulative wall time since ``fit`` was entered,
-    set-up included (monotonic clock; excluded from reproducibility
-    guarantees), and the squared step length
-    ||beta_k - beta_{k-1}||^2 used by stationarity checks.
+    Iteration k = 1, 2, ... appends the objective f(beta_k), the accepted step
+    scale L_k, the number of extra line-search trials beyond the first, the
+    nonzero count, the squared step length ||beta_k - beta_{k-1}||^2 used by
+    stationarity checks, and the ``time.perf_counter()`` seconds since
+    ``start`` (``fit``'s entry, so set-up counts; excluded from
+    reproducibility guarantees).
     """
 
-    def __init__(self, f0: float):
+    def __init__(self, f0: float, start: float):
         self.f0 = float(f0)
-        self.iterations: list[int] = []
+        self.start = start
         self.objectives: list[float] = []
         self.step_scales: list[float] = []
         self.backtracks: list[int] = []
@@ -197,22 +199,20 @@ class Trace:
         self.times: list[float] = []
         self.step_sqs: list[float] = []
 
-    def append(self, k: int, f: float, L: float, backtracks: int, nnz: int,
-               elapsed: float, step_sq: float) -> None:
+    def append(self, f: float, L: float, backtracks: int, nnz: int, step_sq: float) -> None:
         if not np.isfinite(f):
-            raise FloatingPointError(f"non-finite objective {f} at iteration {k}")
+            raise FloatingPointError(f"non-finite objective {f} at iteration {len(self) + 1}")
         if not L > 0:
-            raise FloatingPointError(f"nonpositive step scale {L} at iteration {k}")
-        self.iterations.append(k)
+            raise FloatingPointError(f"nonpositive step scale {L} at iteration {len(self) + 1}")
         self.objectives.append(float(f))
         self.step_scales.append(float(L))
         self.backtracks.append(int(backtracks))
         self.nonzeros.append(int(nnz))
-        self.times.append(float(elapsed))
+        self.times.append(time.perf_counter() - self.start)
         self.step_sqs.append(float(step_sq))
 
     def __len__(self) -> int:
-        return len(self.iterations)
+        return len(self.objectives)
 
 
 @dataclasses.dataclass
@@ -405,15 +405,12 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
 
 
 def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
-             full: Dataset, holder: Products, trace: Trace, start: float):
+             holder: Products, trace: Trace):
     """Iterate from ``beta``, whose margins on ``data`` are ``z_beta``, until the stop.
 
-    Appends every iteration to ``trace``, numbered on from its last one, and
-    stops at the relative-change test (converged) or once ``trace`` holds
-    ``opts.max_iters`` iterations.  The BB seed is clamped around
-    ``full.lipschitz``, read only then: ``full`` is the whole dataset, whose
-    constant bounds that of a working set ``data``.  Returns the last
-    iterate, its margins and whether it converged.
+    Appends every iteration to ``trace`` and stops at the relative-change
+    test (converged) or once ``trace`` holds ``opts.max_iters`` iterations.
+    Returns the last iterate, its margins and whether it converged.
     """
     policy = _POLICIES[opts.variant]
     sufficient = pen.kind != L1
@@ -426,7 +423,7 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
     w, z_w = beta, z_beta  # the momentum anchor and its margins
     t_momentum = 1.0
 
-    for k in range(len(trace) + 1, opts.max_iters + 1):
+    while len(trace) < opts.max_iters:
         if policy.momentum:
             # The convex criterion never reads f_anchor, so w's penalty is skipped.
             anchor, z_anchor, l_anchor, f_anchor = w, z_w, loss_from_margins(z_w, data), None
@@ -436,9 +433,8 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
         if policy.seed == "carried":
             L_seed = L_carry
         elif policy.seed == "bb" and bb_prev is not None:
-            lip = full.lipschitz
-            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=lip)
-            L_seed = min(max(L_seed, lip / _BB_CLAMP), lip * _BB_CLAMP)
+            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=L0)
+            L_seed = min(max(L_seed, L0 / _BB_CLAMP), L0 * _BB_CLAMP)
         else:
             L_seed = L0
         bb_prev = (anchor, grad)
@@ -459,8 +455,7 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
             out = out._replace(step_sq=float(diff @ diff))
 
         beta, z_beta = out.candidate, out.margins
-        trace.append(k, out.objective, out.L, out.trials, nonzero_count(beta),
-                     time.perf_counter() - start, out.step_sq)
+        trace.append(out.objective, out.L, out.trials, nonzero_count(beta), out.step_sq)
         if abs(f_prev - out.objective) <= opts.tol * max(1.0, abs(out.objective)):
             converged = True
         l_prev, f_prev = out.loss, out.objective
@@ -517,11 +512,10 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     optimality check, and all of its solves share ``opts.max_iters``.  Every
     other fit iterates on the full data.
 
-    The fit reads ``data.lipschitz`` only where the variant needs it: for
-    L0 when ``opts.l0`` is unset, and for the BB clamp.  ``Dataset`` keeps
-    the estimate, so all fits on one dataset, every point of a path
-    included, make at most one; a working set reads the full data's, which
-    bounds its own.
+    The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
+    ``Dataset`` keeps the estimate, so all fits on one dataset, every point
+    of a path included, make at most one; a working set uses the full
+    data's, which bounds its own.
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
@@ -530,16 +524,14 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     L0 = data.lipschitz if opts.l0 is None else float(opts.l0)
     if L0 == 0.0:
         raise ValueError("initial step scale is zero (zero feature matrix)")
-    if not math.isfinite(L0):
-        raise ValueError(f"initial step scale must be finite, got {L0}")
 
     beta = _initial_beta(opts, data.n_features)
     holder = Products()  # this fit's product counts; dropped on return
     z_beta = margins(beta, data, holder)
-    trace = Trace(f0=loss_from_margins(z_beta, data) + penalty_value(beta, pen))
+    trace = Trace(loss_from_margins(z_beta, data) + penalty_value(beta, pen), start)
 
     def descend(sub: Dataset, b, z):
-        return _descend(sub, b, z, pen, opts, L0, data, holder, trace, start)
+        return _descend(sub, b, z, pen, opts, L0, holder, trace)
 
     if pen.kind == L1 and not isinstance(opts.beta0, str):
         beta, converged = _working_set(data, beta, z_beta, pen.lam, holder, descend)

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from proxlogit import cli
+from proxlogit import SyntheticSpec, cli, generate_synthetic
 from proxlogit.cli import EXIT_ERROR, EXIT_MAXITERS, EXIT_OK, TRACE_HEADER, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -20,6 +20,13 @@ SYNTH = ["--format", "synthetic", "--synthetic-samples", "80",
 def read(path):
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
+
+
+def write_csv(path, data):
+    """Write ``data`` as CSV, one sample per line with its label last; returns ``path``."""
+    path.write_text("".join(",".join(f"{v:.17g}" for v in x) + f",{y:g}\n"
+                            for x, y in zip(data.features.T, data.labels)))
+    return path
 
 
 def strip_time_columns(text):
@@ -175,6 +182,19 @@ class TestTrain:
         assert code == EXIT_OK
         summary = json.loads(read(os.path.join(out, "summary.json")))
         assert summary["variant"] == "fista_lip"
+
+    def test_add_intercept_on_synthetic_data(self, tmp_path):
+        # the same model as a CSV of the same data loaded with --add-intercept
+        data, _ = generate_synthetic(SyntheticSpec(n_samples=80, n_features=15,
+                                                   n_nonzero=3, seed=3))
+        csv_file = write_csv(tmp_path / "synth.csv", data)
+        synth, loaded = str(tmp_path / "synth"), str(tmp_path / "csv")
+        assert main(["train", *SYNTH, "--add-intercept", "--out", synth]) == EXIT_OK
+        assert main(["train", "--format", "csv", "--data", str(csv_file), "--label-column",
+                     "15", "--add-intercept", "--out", loaded]) == EXIT_OK
+        payload = read(os.path.join(synth, "coefficients.json"))
+        assert json.loads(payload)["d"] == 16
+        assert payload == read(os.path.join(loaded, "coefficients.json"))
 
     def test_bad_shape_parameter(self, tmp_path):
         code = main(["train", *SYNTH, "--penalty", "l1", "--theta", "-3",
@@ -403,22 +423,38 @@ FIELD_SAMPLES = {
 }
 
 COMMON_OPTIONS = {
-    "-h", "--help", "--config", "--data", "--format", "--label-column", "--has-header",
-    "--add-intercept", "--penalty", "--lambda-frac", "--theta", "--epsilon", "--variant",
-    "--eta", "--l0", "--tol", "--max-iters", "--max-backtracks", "--seed", "--beta0",
-    "--out", "--trace-every", "--synthetic-samples", "--synthetic-features",
-    "--synthetic-nonzero", "--synthetic-noise", "--synthetic-seed",
+    "-h", "--help", "--config", "--penalty", "--theta", "--epsilon", "--eta", "--l0",
+    "--tol", "--max-iters", "--max-backtracks", "--seed", "--beta0", "--out",
+}
+# bench generates its grid data and takes --variants
+FIT_OPTIONS = COMMON_OPTIONS | {
+    "--data", "--format", "--label-column", "--has-header", "--add-intercept",
+    "--synthetic-samples", "--synthetic-features", "--synthetic-nonzero",
+    "--synthetic-noise", "--synthetic-seed", "--variant",
 }
 SUBCOMMAND_OPTIONS = {
-    "train": COMMON_OPTIONS,
-    "path": COMMON_OPTIONS | {"--fractions", "--warm-start"},
-    "cv": COMMON_OPTIONS | {"--fractions", "--warm-start", "--folds", "--cv-seed"},
-    "bench": COMMON_OPTIONS | {"--grid", "--reps", "--variants"},
+    "train": FIT_OPTIONS | {"--lambda-frac", "--trace-every"},
+    "path": FIT_OPTIONS | {"--fractions", "--warm-start"},
+    "cv": FIT_OPTIONS | {"--fractions", "--warm-start", "--folds", "--cv-seed"},
+    "bench": COMMON_OPTIONS | {"--lambda-frac", "--grid", "--reps", "--variants"},
 }
 
 
 def config_from(argv):
     return cli._build_config(cli.build_parser().parse_args(argv))
+
+
+def recording_config(cfg, reads: set):
+    """A copy of ``cfg`` that adds the name of each field read from it to ``reads``."""
+    names = {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+    class Recording(cli.RunConfig):
+        def __getattribute__(self, name):
+            if name in names:
+                reads.add(name)
+            return super().__getattribute__(name)
+
+    return Recording(**{name: getattr(cfg, name) for name in names})
 
 
 class TestConfigTable:
@@ -463,6 +499,13 @@ class TestConfigTable:
         ("", ["--max-iters", "abc"], "--max-iters: "),
         ("", ["--variant", "nope"], "--variant: "),
         ("", ["--lambda-frac", "tenth"], "--lambda-frac: "),
+        ("", ["--lambda-frac", "inf"], "--lambda-frac: expected a positive finite number"),
+        ("", ["--lambda-frac", "0"], "--lambda-frac: expected a positive finite number"),
+        ("", ["--trace-every", "0"], "--trace-every: expected an integer >= 1"),
+        ("[penalty]\nlambda_frac = nan\n", [], "[penalty] lambda_frac: "),
+        # train parses the keys of other subcommands too
+        ("[cv]\nfolds = 1\n", [], "[cv] folds: expected an integer >= 2"),
+        ("[bench]\nrepetitions = 0\n", [], "[bench] repetitions: expected an integer >= 1"),
     ])
     def test_bad_setting_exits_1_naming_it(self, ini, argv, named, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -474,6 +517,60 @@ class TestConfigTable:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv, named", [
+        (["cv", *SYNTH, "--folds", "1"], "--folds: expected an integer >= 2"),
+        (["bench", "--reps", "0"], "--reps: expected an integer >= 1"),
+        (["bench", "--lambda-frac", "-0.1"], "--lambda-frac: expected a positive finite"),
+    ])
+    def test_out_of_range_flag_exits_1_naming_it(self, argv, named, tmp_path, capsys):
+        assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["--tol", "nan"], ["--tol", "inf"], ["--eta", "inf"], ["--l0", "inf"],
+        ["--penalty", "scad", "--theta", "inf"], ["--penalty", "mcp", "--theta", "nan"],
+        ["--penalty", "capped_l1", "--epsilon", "inf"],
+    ], ids=" ".join)
+    def test_non_finite_number_exits_1(self, argv, tmp_path, capsys):
+        assert main(["train", *SYNTH, *argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--data", "x.csv"], ["bench", "--variant", "ista_bb"],
+        ["path", "--lambda-frac", "0.2"], ["cv", "--trace-every", "3"],
+    ], ids=" ".join)
+    def test_flag_the_subcommand_ignores_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "path", "cv", "bench"])
+    def test_commands_are_the_subcommands_that_read_the_field(self, command, tmp_path):
+        # every field the subcommand reads over csv, libsvm and synthetic input,
+        # under a SCAD and a capped-l1 penalty
+        data, _ = generate_synthetic(SyntheticSpec(n_samples=30, n_features=4, n_nonzero=2,
+                                                   seed=1))
+        csv_file, svm_file = write_csv(tmp_path / "d.csv", data), tmp_path / "d.svm"
+        svm_file.write_text("".join(
+            f"{y:g} " + " ".join(f"{i + 1}:{v:.17g}" for i, v in enumerate(x)) + "\n"
+            for x, y in zip(data.features.T, data.labels)))
+        inputs = [["--format", "csv", "--data", str(csv_file), "--label-column", "4"],
+                  ["--format", "libsvm", "--data", str(svm_file)], SYNTH]
+        if command == "bench":
+            inputs = [["--grid", "30x4", "--reps", "1", "--variants", "ista_bb"]]
+        reads = set()
+        for argv in inputs:
+            for penalty in ("scad", "capped_l1"):
+                cfg = config_from([command, *argv, "--penalty", penalty, "--max-iters", "50",
+                                   "--out", str(tmp_path / "run")])
+                cli._COMMANDS[command][0](recording_config(cfg, reads))
+        assert reads == {f.name for f in self.FIELDS if command in f.metadata["commands"]}
 
 
 class TestOutputCheckedFirst:

@@ -286,3 +286,5 @@ class TestSynthetic:
             SyntheticSpec(n_samples=0, n_features=5, n_nonzero=0)
         with pytest.raises(ValueError):
             SyntheticSpec(n_samples=5, n_features=5, n_nonzero=1, noise_scale=-1.0)
+        with pytest.raises(ValueError, match="nan"):
+            SyntheticSpec(n_samples=5, n_features=5, n_nonzero=1, noise_scale=float("nan"))

@@ -53,8 +53,11 @@ def test_l1_path_reaches_the_oracle(seed, d, n, variant):
         assert f_star - 1e-9 * abs(f_star) <= f <= f_star + 1e-5 * abs(f_star)
 
 
-# Below 0.3 of lambda_max the nonconvex paths of the d > n cases hit the
-# 10000-iteration cap, so the residual is pinned on these fractions.
+# Below 0.3 of lambda_max the nonconvex objectives of the d > n cases have no
+# minimizer: their training data are separable, and SCAD, MCP and capped l1
+# are flat beyond theta lam (epsilon for capped l1), so the loss keeps falling
+# as |b| grows and the paths run into the 10000-iteration cap.  The residual
+# is pinned on the fractions where a minimizer exists.
 NONCONVEX_FRACTIONS = (0.3, 0.6)
 
 

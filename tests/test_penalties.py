@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -32,6 +34,12 @@ class TestPenaltyConstruction:
         lambda: Penalty.mcp(1.0, theta=1.0),
         lambda: Penalty.capped_l1(1.0, epsilon=0.0),
         lambda: Penalty("l2", 1.0),
+        lambda: Penalty.l1(math.inf),
+        lambda: Penalty.l1(math.nan),
+        lambda: Penalty.scad(1.0, theta=math.inf),
+        lambda: Penalty.mcp(1.0, theta=math.nan),
+        lambda: Penalty.capped_l1(1.0, epsilon=math.inf),
+        lambda: Penalty("l1", 1.0, theta=math.inf),
     ])
     def test_invalid_parameters(self, bad):
         with pytest.raises(ValueError):
