@@ -44,7 +44,6 @@ from .penalties import (
     prox_vector,
 )
 from .solver import (
-    NNZ_TOL,
     VARIANTS,
     FitResult,
     LineSearchError,
@@ -52,7 +51,6 @@ from .solver import (
     Trace,
     bb_stepsize,
     fit,
-    nonzero_count,
     objective,
 )
 

@@ -23,7 +23,6 @@ import json
 import os
 import statistics
 import sys
-import time
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .data import (DataError, Dataset, SyntheticSpec, _with_intercept, generate_
                    load_csv, load_libsvm)
 from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
-from .solver import NNZ_TOL, VARIANTS, SolverOptions, fit
+from .solver import VARIANTS, SolverOptions, fit
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -300,7 +299,7 @@ def _write_trace_csv(path: str, trace, every: int) -> None:
 
 
 def _coefficients_payload(beta: np.ndarray, lam: float, cfg: RunConfig) -> dict:
-    nz = {str(i): float(beta[i]) for i in np.nonzero(np.abs(beta) > NNZ_TOL)[0]}
+    nz = {str(i): float(beta[i]) for i in np.flatnonzero(beta)}
     return {
         "d": int(beta.shape[0]),
         "lambda": lam,
@@ -420,10 +419,8 @@ def cmd_bench(cfg: RunConfig) -> int:
             times, iters = [], []
             for _ in range(cfg.repetitions):
                 # A fresh dataset, so every timed fit makes its own Lipschitz estimate.
-                fresh = Dataset(data.features, data.labels)
-                t0 = time.perf_counter()
-                result = fit(fresh, pen, opts)
-                times.append(time.perf_counter() - t0)
+                result = fit(Dataset(data.features, data.labels), pen, opts)
+                times.append(result.seconds)
                 iters.append(result.n_iterations)
             rows.append((variant, n, d, statistics.median(times),
                          statistics.median(iters)))

@@ -159,8 +159,6 @@ def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvRe
     makes its own exact Lipschitz estimate, once for its whole path.  Folds
     whose training labels are single-class are recorded as skipped cells.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
     folds = kfold_split(data.n_samples, k, seed)
     fracs_desc = sorted(spec.fractions, reverse=True)
     cells: list[CvCell] = []

@@ -38,25 +38,29 @@ differently from a one-row product, so iterates differ from a one-at-a-time
 scan by rounding.  Every fit reports the objective of the coefficients it
 returns as ``objective`` computes it, for one more product.
 
-An l1 fit from a given start vector, as ``run_path`` warm-starts every
-point after the first, solves on a working set of features instead of the
-full data (Celer, Massias, Gramfort & Salmon, ICML 2018; skglm, Bertrand et
-al., NeurIPS 2022).  It takes one full gradient at the start, runs the
-iteration above on ``Dataset(X[ws], y)`` for the set ws made of the start's
-support and the features of largest |gradient|, then checks the l1
-optimality condition on the full data and adds the worst violators, until
-no feature outside the set violates it.  Near a warm start the solution's
-support is small and mostly known, so the products shrink from d rows to
-|ws|.  A cold start has no support to begin from, and a working set there
-holds FISTA's early iterates above its O(1/k^2) bound, so cold fits iterate
-on the full data.  So does every fit under a nonconvex penalty.  Its
-zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam for SCAD,
-MCP and capped l1, but no benchmark workload has the wide nonconvex data
-where a working set would pay.  Each fit passes its own
-``logistic.Products`` holder to every product it makes, which counts the
-products and the rows they read by the rule stated there.  The fit clock
-starts on entry to ``fit``, so ``Trace.times`` and ``FitResult.seconds``
-include the Lipschitz estimate and the other set-up.
+One rule, read off the start vector, decides where a fit iterates.  An l1
+fit whose start has nnz > 0 nonzeros and for which
+``max(_WS_MIN, _WS_GROWTH nnz)`` < d, as a path point warm-started from a
+sparse solution, solves on a working set of features instead of the full
+data (Celer, Massias, Gramfort & Salmon, ICML 2018; skglm, Bertrand et al.,
+NeurIPS 2022).  It takes one full
+gradient at the start, runs the iteration above on ``Dataset(X[ws], y)`` for
+the set ws made of the start's support and the features of largest
+|gradient|, then checks the l1 optimality condition on the full data and
+adds the worst violators, until no feature outside the set violates it.
+Near a warm start the solution's support is small and mostly known, so the
+products shrink from d rows to |ws|.  A start with an empty support has none
+to begin from, and a working set there holds FISTA's early iterates above
+its O(1/k^2) bound; a set as large as the data saves nothing.  So every
+other fit iterates on the full data: cold, zero-vector, random and dense
+starts, and every fit under a nonconvex penalty.  The nonconvex
+zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam for SCAD, MCP and capped l1, but
+no benchmark workload has the wide nonconvex data where a working set would
+pay.  Each fit passes its own ``logistic.Products`` holder to every product
+it makes, which counts the products and the rows they read by the rule
+stated there.  The fit clock starts on entry to ``fit``, so ``Trace.times``
+and ``FitResult.seconds`` include the Lipschitz estimate and the other
+set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -81,13 +85,11 @@ from .penalties import L1, Penalty, penalty_value, prox_vector
 __all__ = [
     "FitResult",
     "LineSearchError",
-    "NNZ_TOL",
     "SolverOptions",
     "Trace",
     "VARIANTS",
     "bb_stepsize",
     "fit",
-    "nonzero_count",
     "objective",
 ]
 
@@ -110,27 +112,19 @@ _POLICIES = {
 }
 VARIANTS = tuple(_POLICIES)
 
-# Entries at or below this magnitude count as zero when reporting sparsity;
-# the proximal maps produce exact zeros, the threshold only guards float dust
-# carried in by warm starts.
-NNZ_TOL = 1e-10
-
 # The BB seed is clamped to this window around L0.
 _BB_CLAMP = 1e12
 
 # A reverse search tries at most this many scales L0 / eta**i.
 _MAX_EXPANSIONS = 60
 
-# A warm-started l1 fit's first working set holds max(_WS_MIN, _WS_GROWTH
-# nnz) features, and a feature outside the set violates the optimality
-# check when |g_j| > lam (1 + _WS_SLACK).
+# An l1 fit from a start with nnz > 0 nonzeros solves on a working set when
+# its first set, of max(_WS_MIN, _WS_GROWTH nnz) features, is smaller than
+# the data; a feature outside the set violates the optimality check when
+# |g_j| > lam (1 + _WS_SLACK).
 _WS_MIN = 10
 _WS_GROWTH = 2
 _WS_SLACK = 1e-9
-
-
-def nonzero_count(beta) -> int:
-    return int(np.count_nonzero(np.abs(np.asarray(beta)) > NNZ_TOL))
 
 
 class LineSearchError(RuntimeError):
@@ -227,8 +221,11 @@ class FitResult:
     makes one gradient product and one margin product per evaluated
     candidate, each row of an ``ista_reverse`` block included; it also makes
     one for the starting point and one for recomputing ``final_objective`` =
-    ``objective(beta)``.  A working-set fit makes its iterations' products on
-    the set's rows, plus one full gradient at the start and one per check.
+    ``objective(beta)``.  An l1 fit from a start with nnz > 0 nonzeros and
+    ``max(_WS_MIN, _WS_GROWTH nnz)`` < d solves on a working set: it makes its
+    iterations' products on the set's rows, plus one full gradient at the
+    start and one per check; every other fit makes them on the full data.
+    ``nnz`` counts the exact nonzeros of ``beta``.
     """
 
     beta: np.ndarray
@@ -245,7 +242,7 @@ class FitResult:
 
     @property
     def nnz(self) -> int:
-        return nonzero_count(self.beta)
+        return int(np.count_nonzero(self.beta))
 
 
 def objective(beta, data: Dataset, pen: Penalty) -> float:
@@ -455,7 +452,7 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
             out = out._replace(step_sq=float(diff @ diff))
 
         beta, z_beta = out.candidate, out.margins
-        trace.append(out.objective, out.L, out.trials, nonzero_count(beta), out.step_sq)
+        trace.append(out.objective, out.L, out.trials, np.count_nonzero(beta), out.step_sq)
         if abs(f_prev - out.objective) <= opts.tol * max(1.0, abs(out.objective)):
             converged = True
         l_prev, f_prev = out.loss, out.objective
@@ -464,22 +461,21 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
     return beta, z_beta, converged
 
 
-def _working_set(data: Dataset, beta, z_beta, lam: float, holder: Products, descend):
+def _working_set(data: Dataset, beta, z_beta, lam: float, size: int, holder: Products,
+                 descend):
     """Solve an l1 fit from ``beta`` on a growing working set of features.
 
     The first set is the support of ``beta`` and the features of largest
-    |gradient|, ``max(_WS_MIN, _WS_GROWTH nnz)`` in all.  ``descend`` solves
-    on ``Dataset(X[ws], y)``; one full gradient then checks the l1
-    optimality condition |g_j| <= lam (1 + ``_WS_SLACK``) outside the set,
-    and up to |ws| of the worst violators join it, until none is left.
+    |gradient|, ``size`` < d in all.  ``descend`` solves on
+    ``Dataset(X[ws], y)``; one full gradient then checks the l1 optimality
+    condition |g_j| <= lam (1 + ``_WS_SLACK``) outside the set, and up to
+    |ws| of the worst violators join it, until none is left.
     Returns the coefficients and whether the last solve converged with no
     violator.
     """
     X, y, d = data.features, data.labels, data.n_features
     priority = np.abs(gradient_from_margins(z_beta, data, holder))
-    support = np.flatnonzero(beta)
-    priority[support] = np.inf
-    size = min(d, max(_WS_MIN, _WS_GROWTH * support.size))
+    priority[beta != 0.0] = np.inf
     ws = np.sort(np.argpartition(-priority, size - 1)[:size])
     while True:
         sub_beta, z_beta, converged = descend(Dataset(X[ws], y), beta[ws], z_beta)
@@ -505,12 +501,13 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     relative objective change falls to ``opts.tol`` (converged) or at
     ``opts.max_iters`` (not converged); the trace records every iteration.
 
-    An l1 fit from a given start vector (``opts.beta0`` an array, as
-    ``run_path`` warm-starts every point after the first) solves on a
-    working set of features (see ``_working_set``): it converges only when
-    its last solve converged and every feature outside the set meets the
-    optimality check, and all of its solves share ``opts.max_iters``.  Every
-    other fit iterates on the full data.
+    An l1 fit whose start has nnz > 0 nonzeros and for which
+    ``max(_WS_MIN, _WS_GROWTH nnz)`` < d, as a warm start from a sparse
+    solution, solves on a working set of features (see ``_working_set``):
+    it converges only when its last solve converged and every feature
+    outside the set meets the optimality check, and all of its solves share
+    ``opts.max_iters``.  Every other fit iterates on the full data, whether
+    its start is ``"zeros"``, ``"random"`` or a vector.
 
     The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
     ``Dataset`` keeps the estimate, so all fits on one dataset, every point
@@ -533,8 +530,10 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     def descend(sub: Dataset, b, z):
         return _descend(sub, b, z, pen, opts, L0, holder, trace)
 
-    if pen.kind == L1 and not isinstance(opts.beta0, str):
-        beta, converged = _working_set(data, beta, z_beta, pen.lam, holder, descend)
+    nnz = np.count_nonzero(beta)
+    size = max(_WS_MIN, _WS_GROWTH * nnz)
+    if pen.kind == L1 and nnz and size < data.n_features:
+        beta, converged = _working_set(data, beta, z_beta, pen.lam, size, holder, descend)
     else:
         beta, _, converged = descend(data, beta, z_beta)
     # Block products and working sets round differently from one full

@@ -24,6 +24,16 @@ def make_dataset(seed: int, d: int, n: int) -> Dataset:
     return Dataset(X, y)
 
 
+def assert_same_fit(a, b) -> None:
+    """Two ``FitResult``s agree bit for bit, apart from their clock readings."""
+    np.testing.assert_array_equal(a.beta.view(np.uint64), b.beta.view(np.uint64))
+    for field in ("objectives", "step_scales", "backtracks", "nonzeros", "step_sqs"):
+        assert getattr(a.trace, field) == getattr(b.trace, field), field
+    assert a.trace.f0 == b.trace.f0
+    assert (a.final_objective, a.converged) == (b.final_objective, b.converged)
+    assert (a.matvecs, a.feature_rows) == (b.matvecs, b.feature_rows)
+
+
 @pytest.fixture
 def small_data() -> Dataset:
     return make_dataset(seed=11, d=12, n=40)

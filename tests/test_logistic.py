@@ -141,7 +141,7 @@ def sparse_beta(rng, d, k):
     return beta
 
 
-class TestGatheredMargins:
+class TestMarginProducts:
     @given(st.integers(1, 40), st.integers(1, 30), st.data())
     def test_close_to_full_product_at_every_support_size(self, d, n, draw):
         # supports from 0 to d, sparse to dense; the bound scales with the
@@ -179,7 +179,7 @@ class TestGatheredMargins:
         margins(beta, small_data, holder)
         assert holder.read == 2 * d and holder.products == 2
 
-    def test_holder_reuse_is_bitwise_equal_to_fresh_gather(self):
+    def test_holder_reuse_is_bitwise_equal_to_a_fresh_product(self):
         data = make_dataset(seed=34, d=64, n=50)
         rng = np.random.default_rng(35)
         supports = [

@@ -9,12 +9,12 @@ from proxlogit import data, solver
 # tests uses it; formulas that only tests need live in the tests.
 PUBLIC = {
     "CAPPED_L1", "CvCell", "CvReport", "DEFAULT_FRACTIONS", "DataError", "Dataset",
-    "FitResult", "KINDS", "L1", "LineSearchError", "MCP", "NNZ_TOL", "PathPoint",
-    "PathSpec", "Penalty", "SCAD", "SolverOptions", "SyntheticSpec", "Trace", "VARIANTS",
-    "accuracy", "bb_stepsize", "cross_validate", "fit", "generate_synthetic", "kfold_split",
+    "FitResult", "KINDS", "L1", "LineSearchError", "MCP", "PathPoint", "PathSpec",
+    "Penalty", "SCAD", "SolverOptions", "SyntheticSpec", "Trace", "VARIANTS", "accuracy",
+    "bb_stepsize", "cross_validate", "fit", "generate_synthetic", "kfold_split",
     "lambda_max", "lipschitz_constant", "load_csv", "load_libsvm", "loss_gradient",
-    "loss_value", "nonzero_count", "objective", "penalty_value", "predict", "prox_vector",
-    "run_path", "sigmoid", "softplus",
+    "loss_value", "objective", "penalty_value", "predict", "prox_vector", "run_path",
+    "sigmoid", "softplus",
 }
 
 

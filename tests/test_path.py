@@ -20,7 +20,7 @@ from proxlogit import (
     run_path,
 )
 
-from conftest import make_dataset
+from conftest import assert_same_fit, make_dataset
 
 FAST = SolverOptions(variant="ista_bb", max_iters=3000, tol=1e-10)
 
@@ -62,6 +62,14 @@ class TestRunPath:
         points = run_path(small_data, spec)
         assert len(points) == 1
         assert points[0].result.nnz == 0
+
+    def test_point_after_full_fraction_equals_its_cold_fit(self):
+        # the all-zero solution at lambda_max warm-starts the next point
+        data = make_dataset(seed=92, d=200, n=60)
+        spec = PathSpec(pen_template=Penalty.l1(1.0), opts=FAST, fractions=(0.3, 1.0))
+        top, point = run_path(data, spec)
+        assert top.result.nnz == 0
+        assert_same_fit(point.result, fit(data, Penalty.l1(point.lam), FAST))
 
     def test_decreasing_lambda_order(self, small_data):
         spec = PathSpec(pen_template=Penalty.l1(1.0), opts=FAST, fractions=(0.1, 0.5, 0.9))

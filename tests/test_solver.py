@@ -29,7 +29,7 @@ from proxlogit import data as data_module, solver
 from proxlogit.logistic import Products, margins
 from proxlogit.solver import _fista_t_next
 
-from conftest import make_dataset
+from conftest import assert_same_fit, make_dataset
 from solver_reference import anchor_state, prox_step, q_upper
 
 
@@ -791,7 +791,7 @@ class TestFeatureRows:
         assert res.final_objective == objective(res.beta, small_data, pen)
 
     @pytest.mark.parametrize("variant", ["ista_bb", "fista_lip", "ista_reverse"])
-    def test_sparse_wide_fit_gathers(self, variant, monkeypatch):
+    def test_sparse_wide_warm_fit_reads_set_rows(self, variant, monkeypatch):
         # d > n at 0.3 lambda_max, warm-started from the 0.5 solution: most
         # products are made on the gathered rows of a working set; the full
         # data takes the start, one check per solve and the final objective
@@ -879,18 +879,44 @@ class TestWorkingSet:
             assert res.trace.objectives == whole.trace.objectives[:cap]
             assert res.final_objective == objective(res.beta, data, pen)
 
-    @pytest.mark.parametrize("variant, kind", ACCEPTED_PAIRS)
-    def test_cold_l1_and_warm_nonconvex_fits_read_every_row(self, variant, kind, monkeypatch):
+    @pytest.mark.parametrize("variant, kind, start", [
+        pytest.param(v, k, "cold" if k == "l1" else "warm", id=f"{v}-{k}")
+        for v, k in ACCEPTED_PAIRS] + [
+        pytest.param(v, "l1", start, id=f"{v}-l1-{start}")
+        for v in VARIANTS for start in ("zero vector", "random vector", "dense")])
+    def test_cold_l1_and_warm_nonconvex_fits_read_every_row(self, variant, kind, start,
+                                                            monkeypatch):
+        # only an l1 start with a support smaller than the data opens a
+        # working set; "dense" holds d/2 nonzeros, so its first set is all d
         data = make_dataset(seed=92, d=200, n=60)
         d = data.n_features
         pen = penalty_of(kind, 0.3 * lambda_max(data))
-        beta0 = "zeros" if kind == "l1" else warm_start(data, 0.5)
+        rng = np.random.default_rng(93)
+        if start == "cold":
+            beta0 = "zeros"
+        elif start == "warm":
+            beta0 = warm_start(data, 0.5)
+        elif start == "zero vector":
+            beta0 = np.zeros(d)
+        elif start == "random vector":
+            beta0 = rng.normal(size=d) / d
+        else:
+            beta0 = np.where(np.arange(d) % 2, rng.normal(size=d) / d, 0.0)
         margin_rows, gradient_rows = record_products(monkeypatch)
         rounds = record_rounds(monkeypatch)
         res = fit(data, pen, SolverOptions(variant=variant, beta0=beta0, max_iters=300))
         assert rounds == [(0, d)]
+        assert len(gradient_rows) == res.n_iterations  # no set's start gradient or check
         assert set(margin_rows + gradient_rows) == {d}
         assert res.feature_rows == d * res.matvecs
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_zero_vector_start_equals_zeros(self, variant):
+        data = make_dataset(seed=92, d=200, n=60)
+        pen = Penalty.l1(0.3 * lambda_max(data))
+        named = fit(data, pen, SolverOptions(variant=variant, beta0="zeros"))
+        vector = fit(data, pen, SolverOptions(variant=variant, beta0=np.zeros(data.n_features)))
+        assert_same_fit(vector, named)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("max_iters", [0, 3, 10_000])
@@ -902,6 +928,12 @@ class TestWorkingSet:
         assert res.final_objective == objective(res.beta, data, pen)
         if max_iters == 0:
             np.testing.assert_array_equal(res.beta, beta0)
+
+    def test_nnz_counts_every_nonzero(self, small_data):
+        beta0 = np.zeros(small_data.n_features)
+        beta0[3] = 1e-12
+        res = fit(small_data, Penalty.l1(0.5), SolverOptions(beta0=beta0, max_iters=0))
+        assert res.nnz == 1
 
     @given(st.integers(8, 60), st.integers(2, 30), st.floats(0.05, 0.95),
            st.sampled_from(["ista_bb", "fista_lip"]), st.data())
