@@ -49,7 +49,6 @@ from .solver import (
     LineSearchError,
     SolverOptions,
     Trace,
-    bb_stepsize,
     fit,
     objective,
 )

@@ -62,20 +62,18 @@ def _parse_bool(text: str) -> bool:
     raise CliError(f"expected a boolean, got {text!r}")
 
 
-def _parse_fractions(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
-
-
 def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
     cells = []
     for tok in text.replace(" ", "").split(","):
         if not tok:
             continue
         try:
-            n_s, d_s = tok.split("x")
-            cells.append((int(n_s), int(d_s)))
+            n, d = map(int, tok.split("x"))
         except ValueError:
-            raise CliError(f"bad grid cell {tok!r}; expected SAMPLESxFEATURES") from None
+            n = d = 0
+        if min(n, d) < 1:
+            raise CliError(f"bad grid cell {tok!r}; expected SAMPLESxFEATURES, each >= 1")
+        cells.append((n, d))
     if not cells:
         raise CliError("empty benchmark grid")
     return tuple(cells)
@@ -92,6 +90,10 @@ def _checked(convert, ok, expected: str):
 
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < np.inf, "a positive finite number")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_parse_fractions = _checked(  # in any order; returned increasing, as PathSpec takes them
+    lambda text: tuple(sorted(float(tok) for tok in text.replace(" ", "").split(",") if tok)),
+    lambda fr: fr and len(set(fr)) == len(fr) and all(0 < f <= 1 for f in fr),
+    "a nonempty list of distinct fractions in (0, 1]")
 
 
 def _parse_l0(text: str) -> float | None:
@@ -165,7 +167,6 @@ class RunConfig:
     max_iters: int = _field(10_000, "solver.max_iters", "--max-iters", int)
     tol: float = _field(1e-9, "solver.tol", "--tol", float,
                         help="relative objective-change stop")
-    max_backtracks: int = _field(100, "solver.max_backtracks", "--max-backtracks", int)
     seed: int = _field(0, "solver.seed", "--seed", int,
                        help="seed of --beta0 random; bench also seeds cell i's data with seed + i")
     beta0: str = _field("zeros", "solver.beta0", "--beta0", _choice(("zeros", "random")))
@@ -267,9 +268,7 @@ def _build_penalty(cfg: RunConfig, lam: float) -> Penalty:
 
 def _build_options(cfg: RunConfig, variant: str | None = None) -> SolverOptions:
     return SolverOptions(variant=variant or cfg.variant, eta=cfg.eta, l0=cfg.l0,
-                         max_iters=cfg.max_iters, tol=cfg.tol,
-                         max_backtracks=cfg.max_backtracks, seed=cfg.seed,
-                         beta0=cfg.beta0)
+                         max_iters=cfg.max_iters, tol=cfg.tol, seed=cfg.seed, beta0=cfg.beta0)
 
 
 def _ensure_out(cfg: RunConfig) -> str:
@@ -354,7 +353,7 @@ def cmd_path(cfg: RunConfig) -> int:
     lam_top = lambda_max(data)
     template = _build_penalty(cfg, lam_top)
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
-                    fractions=tuple(sorted(cfg.fractions)), warm_start=cfg.warm_start)
+                    fractions=cfg.fractions, warm_start=cfg.warm_start)
     points = run_path(data, spec)
 
     with open(os.path.join(out, "path.csv"), "w", encoding="utf-8") as fh:
@@ -377,7 +376,7 @@ def cmd_cv(cfg: RunConfig) -> int:
     data = _load_dataset(cfg)
     template = _build_penalty(cfg, lambda_max(data))
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
-                    fractions=tuple(sorted(cfg.fractions)), warm_start=cfg.warm_start)
+                    fractions=cfg.fractions, warm_start=cfg.warm_start)
     report = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
 
     by_key = {(c.fraction, c.fold): c for c in report.cells}

@@ -156,7 +156,7 @@ def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvRe
 
     For each fold the path (including lambda_max) is computed on the training
     complement and accuracy is scored on the held-out fold, so each fold
-    makes its own exact Lipschitz estimate, once for its whole path.  Folds
+    makes its own Lipschitz estimate, once for its whole path.  Folds
     whose training labels are single-class are recorded as skipped cells.
     """
     folds = kfold_split(data.n_samples, k, seed)

@@ -25,6 +25,16 @@ anchor; for the nonconvex penalties the sufficient-decrease test
 f(candidate) <= f(anchor) - (L/2) ||candidate - anchor||^2 is used, which
 directly enforces monotone descent.
 
+Each iteration binds one trial: ``_try_candidate`` with the anchor's point,
+loss, objective and gradient, the data, the penalty, the criterion and the
+fit's ``Products`` holder, as one ``functools.partial``.  A search calls it
+with a scale L, or a column of scales, and gets back the verdict and the
+outcome, so the searches know nothing of the anchor.  Two module constants
+bound them, read each time a search runs: a forward search makes at most
+``_MAX_BACKTRACKS`` trials past its first before it raises
+``LineSearchError``, and a reverse search tries at most ``_MAX_EXPANSIONS``
+scales L0 / eta**i.
+
 The margins z = X' beta are carried with the iterate.  Each line-search trial
 computes its candidate's margins with one product, and the accepted
 candidate's margins give the next gradient X (sigmoid(z) - y) for one more
@@ -43,24 +53,26 @@ fit whose start has nnz > 0 nonzeros and for which
 ``max(_WS_MIN, _WS_GROWTH nnz)`` < d, as a path point warm-started from a
 sparse solution, solves on a working set of features instead of the full
 data (Celer, Massias, Gramfort & Salmon, ICML 2018; skglm, Bertrand et al.,
-NeurIPS 2022).  It takes one full
-gradient at the start, runs the iteration above on ``Dataset(X[ws], y)`` for
-the set ws made of the start's support and the features of largest
-|gradient|, then checks the l1 optimality condition on the full data and
-adds the worst violators, until no feature outside the set violates it.
-Near a warm start the solution's support is small and mostly known, so the
-products shrink from d rows to |ws|.  A start with an empty support has none
-to begin from, and a working set there holds FISTA's early iterates above
-its O(1/k^2) bound; a set as large as the data saves nothing.  So every
-other fit iterates on the full data: cold, zero-vector, random and dense
-starts, and every fit under a nonconvex penalty.  The nonconvex
-zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam for SCAD, MCP and capped l1, but
-no benchmark workload has the wide nonconvex data where a working set would
-pay.  Each fit passes its own ``logistic.Products`` holder to every product
-it makes, which counts the products and the rows they read by the rule
-stated there.  The fit clock starts on entry to ``fit``, so ``Trace.times``
-and ``FitResult.seconds`` include the Lipschitz estimate and the other
-set-up.
+NeurIPS 2022).  It takes one full gradient at the start, runs the iteration
+above on ``Dataset(X[ws], y)`` for the set ws made of the start's support and
+the features of largest |gradient|, then checks the l1 optimality condition
+|g_j| <= lam (1 + ``_WS_SLACK``) on the full data and adds up to |ws| of the
+worst violators, until no feature outside the set violates it.  The fit
+converges only when its last solve converged with no violator left, and all
+of its solves share ``max_iters``.  Near a warm start the solution's support
+is small and mostly known, so the products shrink from d rows to |ws|.  A
+start with an empty support has none to begin from, and a working set there
+holds FISTA's early iterates above its O(1/k^2) bound; a set as large as the
+data saves nothing.  So every other fit iterates on the full data: cold,
+zero-vector, random and dense starts, and every fit under a nonconvex
+penalty.  The nonconvex zero-coordinate check would be |g_j| <= lam too, as
+g'(0+) = lam for SCAD, MCP and capped l1, but no benchmark workload has the
+wide nonconvex data where a working set would pay.
+
+Each fit passes its own ``logistic.Products`` holder to every product it
+makes, which counts the products and the rows they read by the rule stated
+there.  The fit clock starts on entry to ``fit``, so ``Trace.times`` and
+``FitResult.seconds`` include the Lipschitz estimate and the other set-up.
 
 A fit is single-threaded and deterministic for a fixed seed, apart from wall
 clock readings; concurrent fits may share one immutable dataset.  Dense
@@ -71,6 +83,7 @@ is bitwise-deterministic for a fixed thread count (record it with the run).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import time
 from typing import NamedTuple
@@ -88,7 +101,6 @@ __all__ = [
     "SolverOptions",
     "Trace",
     "VARIANTS",
-    "bb_stepsize",
     "fit",
     "objective",
 ]
@@ -115,13 +127,14 @@ VARIANTS = tuple(_POLICIES)
 # The BB seed is clamped to this window around L0.
 _BB_CLAMP = 1e12
 
-# A reverse search tries at most this many scales L0 / eta**i.
+# Line-search budgets, read when a search runs: a forward search makes at
+# most _MAX_BACKTRACKS trials past its first, a reverse search tries at most
+# _MAX_EXPANSIONS scales L0 / eta**i, _BLOCK at a time.
+_MAX_BACKTRACKS = 100
 _MAX_EXPANSIONS = 60
+_BLOCK = 6
 
-# An l1 fit from a start with nnz > 0 nonzeros solves on a working set when
-# its first set, of max(_WS_MIN, _WS_GROWTH nnz) features, is smaller than
-# the data; a feature outside the set violates the optimality check when
-# |g_j| > lam (1 + _WS_SLACK).
+# The working-set rule of the module docstring.
 _WS_MIN = 10
 _WS_GROWTH = 2
 _WS_SLACK = 1e-9
@@ -142,8 +155,9 @@ class SolverOptions:
     ``l0`` is the initial step scale; ``None`` derives it from the Lipschitz
     constant of the loss gradient, a positive number fixes it.  ``beta0`` is
     ``"zeros"``, ``"random"`` (normal with variance 1/d, drawn from ``seed``),
-    or an explicit start vector.  The run stops when the relative objective
-    change drops to ``tol`` or after ``max_iters`` iterations.
+    or an explicit finite start vector of length d.  The run stops when the
+    relative objective change drops to ``tol`` or after ``max_iters``
+    iterations.
     """
 
     variant: str = "ista_bb"
@@ -151,7 +165,6 @@ class SolverOptions:
     l0: float | None = None
     max_iters: int = 10_000
     tol: float = 1e-9
-    max_backtracks: int = 100
     seed: int = 0
     beta0: str | np.ndarray = "zeros"
 
@@ -166,10 +179,12 @@ class SolverOptions:
             raise ValueError("max_iters must be nonnegative")
         if not 0 <= self.tol < math.inf:
             raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
-        if isinstance(self.beta0, str) and self.beta0 not in ("zeros", "random"):
-            raise ValueError(f"beta0 must be 'zeros', 'random', or a vector, got {self.beta0!r}")
+        if isinstance(self.beta0, str):
+            if self.beta0 not in ("zeros", "random"):
+                raise ValueError(
+                    f"beta0 must be 'zeros', 'random', or a vector, got {self.beta0!r}")
+        elif not np.all(np.isfinite(self.beta0)):
+            raise ValueError("beta0 must be a finite vector")
 
 
 class Trace:
@@ -221,11 +236,10 @@ class FitResult:
     makes one gradient product and one margin product per evaluated
     candidate, each row of an ``ista_reverse`` block included; it also makes
     one for the starting point and one for recomputing ``final_objective`` =
-    ``objective(beta)``.  An l1 fit from a start with nnz > 0 nonzeros and
-    ``max(_WS_MIN, _WS_GROWTH nnz)`` < d solves on a working set: it makes its
-    iterations' products on the set's rows, plus one full gradient at the
-    start and one per check; every other fit makes them on the full data.
-    ``nnz`` counts the exact nonzeros of ``beta``.
+    ``objective(beta)``.  A fit on a working set (the rule of the module
+    docstring) makes its iterations' products on the set's rows, plus one
+    full gradient at the start and one per check.  ``nnz`` counts the exact
+    nonzeros of ``beta``.
     """
 
     beta: np.ndarray
@@ -250,24 +264,20 @@ def objective(beta, data: Dataset, pen: Penalty) -> float:
     return loss_value(beta, data) + penalty_value(beta, pen)
 
 
-def bb_stepsize(delta, v, fallback: float) -> float:
-    """Barzilai-Borwein curvature estimate <delta, v> / <delta, delta>.
+def _bb_seed(delta, v, L0: float) -> float:
+    """Barzilai-Borwein seed <delta, v> / <delta, delta> for the step scale.
 
-    ``delta`` is the difference of successive iterates, ``v`` the difference
-    of their gradients.  Returns ``fallback`` when the quotient is not a
-    positive finite number (possible under nonconvex curvature or a zero
-    step).
+    ``delta`` is the difference of successive anchors, ``v`` the difference
+    of their gradients.  The quotient is clamped to [L0 / _BB_CLAMP,
+    L0 * _BB_CLAMP]; it is ``L0`` when not a positive finite number (possible
+    under nonconvex curvature or a zero step).
     """
-    delta = np.asarray(delta, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if delta.shape != v.shape:
-        raise ValueError(f"shape mismatch: {delta.shape} vs {v.shape}")
     den = float(delta @ delta)
     if den > 0.0:
         quot = float(delta @ v) / den
         if quot > 0.0 and math.isfinite(quot):
-            return quot
-    return fallback
+            return min(max(quot, L0 / _BB_CLAMP), L0 * _BB_CLAMP)
+    return L0
 
 
 class _SearchOutcome(NamedTuple):
@@ -290,10 +300,6 @@ class _SearchOutcome(NamedTuple):
                               float(self.objective[i]), float(self.step_sq[i]))
 
 
-# A reverse search evaluates its ladder of step scales this many at a time.
-_BLOCK = 6
-
-
 def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
                    sufficient_decrease: bool, holder=None):
     """Evaluate the proximal candidate at scale L with one product X' candidate.
@@ -304,7 +310,8 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
     one entry per row (see ``_SearchOutcome.row``).  ``f_anchor`` is read
     only by the sufficient-decrease criterion; ``holder`` is the caller's
     ``Products`` holder, if any.  The outcome counts as the first trial;
-    searches set ``trials``.
+    searches set ``trials``.  The kernels are looked up as module globals on
+    every call, so a caller may swap them to count or time their work.
     """
     cand = prox_vector(anchor - grad_anchor / L, pen, L)
     z_cand = margins(cand, data, holder)
@@ -325,49 +332,41 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
     return ok, _SearchOutcome(L, cand, z_cand, 0, l_cand, f_cand, step_sq)
 
 
-def _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                    L_start, eta, max_backtracks, sufficient_decrease,
-                    tried: int = 0, holder=None) -> _SearchOutcome:
-    """Grow L from ``L_start`` by ``eta`` until a candidate passes.
+def _forward_search(trial, L_start, eta, tried: int = 0) -> _SearchOutcome:
+    """Grow L from ``L_start`` by ``eta`` until ``trial`` passes.
 
     ``tried`` counts the trials already made on this anchor; they count
-    toward ``max_backtracks`` and the outcome's ``trials``.
+    toward ``_MAX_BACKTRACKS`` and the outcome's ``trials``.
     """
     L = float(L_start)
-    for i in range(tried, max_backtracks + 1):
-        ok, out = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
-                                 sufficient_decrease, holder)
+    for i in range(tried, _MAX_BACKTRACKS + 1):
+        ok, out = trial(L)
         if ok:
             return out._replace(trials=i)
         L *= eta
     raise LineSearchError(
-        f"line search failed after {max_backtracks} backtracks (last L = {L / eta:g})",
+        f"line search failed after {_MAX_BACKTRACKS} backtracks (last L = {L / eta:g})",
         last_L=L / eta)
 
 
-def _reverse_search(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                    L0, eta, max_expansions, max_backtracks,
-                    sufficient_decrease, holder=None) -> _SearchOutcome:
-    """Shrink L from ``L0`` by ``eta`` while candidates pass; keep the last passing one.
+def _reverse_search(trial, L0, eta) -> _SearchOutcome:
+    """Shrink L from ``L0`` by ``eta`` while ``trial`` passes; keep the last passing scale.
 
-    The ladder L0 / eta**i, i < ``max_expansions``, is evaluated in blocks of
-    ``_BLOCK`` scales.  The search accepts the scale before the first failing
-    one, as a scan one scale at a time would, or the last scale when none
-    fails; the rows of a block past the first failure are evaluated too.
+    The ladder L0 / eta**i, i < ``_MAX_EXPANSIONS``, is evaluated in blocks
+    of ``_BLOCK`` scales.  The search accepts the scale before the first
+    failing one, as a scan one scale at a time would, or the last scale when
+    none fails; the rows of a block past the first failure are evaluated too.
     ``trials`` is the index of the accepted scale.
     """
-    for start in range(0, max_expansions, _BLOCK):
-        scales = np.array([L0 / eta ** i
-                           for i in range(start, min(start + _BLOCK, max_expansions))])
-        ok, block = _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen,
-                                   scales[:, np.newaxis], sufficient_decrease, holder)
+    cap = _MAX_EXPANSIONS
+    for start in range(0, cap, _BLOCK):
+        scales = np.array([L0 / eta ** i for i in range(start, min(start + _BLOCK, cap))])
+        ok, block = trial(scales[:, np.newaxis])
         failed = np.flatnonzero(~ok)
         if start == 0 and failed.size and failed[0] == 0:
             # The base step already violates (possible under sufficient
             # decrease); grow forward from the rejected L0 instead.
-            return _forward_search(anchor, l_anchor, f_anchor, grad_anchor, data,
-                                   pen, L0 * eta, eta, max_backtracks,
-                                   sufficient_decrease, tried=1, holder=holder)
+            return _forward_search(trial, L0 * eta, eta, tried=1)
         passed = failed[0] if failed.size else scales.size
         if passed:
             accepted = block.row(passed - 1)._replace(trials=start + passed - 1)
@@ -430,18 +429,13 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
         if policy.seed == "carried":
             L_seed = L_carry
         elif policy.seed == "bb" and bb_prev is not None:
-            L_seed = bb_stepsize(anchor - bb_prev[0], grad - bb_prev[1], fallback=L0)
-            L_seed = min(max(L_seed, L0 / _BB_CLAMP), L0 * _BB_CLAMP)
+            L_seed = _bb_seed(anchor - bb_prev[0], grad - bb_prev[1], L0)
         else:
             L_seed = L0
         bb_prev = (anchor, grad)
-        if policy.reverse:
-            out = _reverse_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
-                                  opts.eta, _MAX_EXPANSIONS, opts.max_backtracks,
-                                  sufficient, holder=holder)
-        else:
-            out = _forward_search(anchor, l_anchor, f_anchor, grad, data, pen, L_seed,
-                                  opts.eta, opts.max_backtracks, sufficient, holder=holder)
+        trial = functools.partial(_try_candidate, anchor, l_anchor, f_anchor, grad, data, pen,
+                                  sufficient_decrease=sufficient, holder=holder)
+        out = (_reverse_search if policy.reverse else _forward_search)(trial, L_seed, opts.eta)
         L_carry = out.L
         if policy.momentum:
             diff = out.candidate - beta
@@ -465,13 +459,9 @@ def _working_set(data: Dataset, beta, z_beta, lam: float, size: int, holder: Pro
                  descend):
     """Solve an l1 fit from ``beta`` on a growing working set of features.
 
-    The first set is the support of ``beta`` and the features of largest
-    |gradient|, ``size`` < d in all.  ``descend`` solves on
-    ``Dataset(X[ws], y)``; one full gradient then checks the l1 optimality
-    condition |g_j| <= lam (1 + ``_WS_SLACK``) outside the set, and up to
-    |ws| of the worst violators join it, until none is left.
-    Returns the coefficients and whether the last solve converged with no
-    violator.
+    The set starts with ``size`` < d features and grows by the rule of the
+    module docstring; ``descend`` solves on ``Dataset(X[ws], y)``.  Returns
+    the coefficients and whether the last solve converged with no violator.
     """
     X, y, d = data.features, data.labels, data.n_features
     priority = np.abs(gradient_from_margins(z_beta, data, holder))
@@ -500,14 +490,10 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     nonconvex penalties the sufficient-decrease criterion.  Stops when the
     relative objective change falls to ``opts.tol`` (converged) or at
     ``opts.max_iters`` (not converged); the trace records every iteration.
+    Raises ``LineSearchError`` when a line search runs out of its budget.
 
-    An l1 fit whose start has nnz > 0 nonzeros and for which
-    ``max(_WS_MIN, _WS_GROWTH nnz)`` < d, as a warm start from a sparse
-    solution, solves on a working set of features (see ``_working_set``):
-    it converges only when its last solve converged and every feature
-    outside the set meets the optimality check, and all of its solves share
-    ``opts.max_iters``.  Every other fit iterates on the full data, whether
-    its start is ``"zeros"``, ``"random"`` or a vector.
+    Where the fit iterates, on a working set or on the full data, follows
+    from its start vector by the rule of the module docstring.
 
     The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
     ``Dataset`` keeps the estimate, so all fits on one dataset, every point

@@ -1,9 +1,12 @@
 """Reference formulas for the solver tests: one proximal-gradient step, the
-quadratic upper model, and the anchor state the line searches start from."""
+quadratic upper model, the anchor state the line searches start from, and the
+trial they call."""
+
+import functools
 
 import numpy as np
 
-from proxlogit import loss_gradient, loss_value, penalty_value, prox_vector
+from proxlogit import loss_gradient, loss_value, penalty_value, prox_vector, solver
 from proxlogit.logistic import gradient_from_margins, loss_from_margins, margins
 
 
@@ -30,9 +33,15 @@ def q_upper(candidate, anchor, data, pen, L):
 
 
 def anchor_state(anchor, data, pen):
-    """(anchor, loss, objective, gradient) at ``anchor`` from one margin product:
-    the leading arguments of ``solver._forward_search`` and ``solver._reverse_search``."""
+    """(anchor, loss, objective, gradient) at ``anchor`` from one margin product."""
     anchor = np.asarray(anchor, dtype=np.float64)
     z = margins(anchor, data)
     l_anchor = loss_from_margins(z, data)
     return anchor, l_anchor, l_anchor + penalty_value(anchor, pen), gradient_from_margins(z, data)
+
+
+def bound_trial(anchor, data, pen, sufficient_decrease, holder=None):
+    """The trial ``solver._descend`` binds at ``anchor`` for ``solver._forward_search``
+    and ``solver._reverse_search``: a scale L, or a column of them, to (ok, outcome)."""
+    return functools.partial(solver._try_candidate, *anchor_state(anchor, data, pen), data, pen,
+                             sufficient_decrease=sufficient_decrease, holder=holder)

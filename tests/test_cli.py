@@ -105,6 +105,9 @@ class TestTrain:
                      "--out", str(tmp_path / "run")])
         assert code == EXIT_ERROR
         assert "/nonexistent/file.csv" in capsys.readouterr().err
+        assert main(["train", "--format", "csv", "--out", str(tmp_path / "run")]) == EXIT_ERROR
+        assert capsys.readouterr().err == \
+            "error: no dataset path given (use --data or [data] path)\n"
 
     def test_floating_point_error_exits_1(self, tmp_path, capsys, monkeypatch):
         def diverging_fit(*args, **kwargs):
@@ -408,10 +411,9 @@ FIELD_SAMPLES = {
     "l0": ("4", 4.0),
     "max_iters": ("123", 123),
     "tol": ("1e-7", 1e-7),
-    "max_backtracks": ("17", 17),
     "seed": ("6", 6),
     "beta0": ("random", "random"),
-    "fractions": ("0.5, 0.05", (0.5, 0.05)),
+    "fractions": ("0.5, 0.05", (0.05, 0.5)),
     "warm_start": ("false", False),
     "folds": ("3", 3),
     "cv_seed": ("11", 11),
@@ -424,7 +426,7 @@ FIELD_SAMPLES = {
 
 COMMON_OPTIONS = {
     "-h", "--help", "--config", "--penalty", "--theta", "--epsilon", "--eta", "--l0",
-    "--tol", "--max-iters", "--max-backtracks", "--seed", "--beta0", "--out",
+    "--tol", "--max-iters", "--seed", "--beta0", "--out",
 }
 # bench generates its grid data and takes --variants
 FIT_OPTIONS = COMMON_OPTIONS | {
@@ -462,8 +464,8 @@ class TestConfigTable:
 
     def test_one_sample_and_one_key_per_field(self):
         names = [f.name for f in self.FIELDS]
-        assert len(names) == 32 and set(FIELD_SAMPLES) == set(names)
-        assert len({f.metadata["key"] for f in self.FIELDS}) == 32
+        assert len(names) == 31 and set(FIELD_SAMPLES) == set(names)
+        assert len({f.metadata["key"] for f in self.FIELDS}) == 31
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_ini_and_flag_values_reach_the_field(self, field, tmp_path):
@@ -506,6 +508,11 @@ class TestConfigTable:
         # train parses the keys of other subcommands too
         ("[cv]\nfolds = 1\n", [], "[cv] folds: expected an integer >= 2"),
         ("[bench]\nrepetitions = 0\n", [], "[bench] repetitions: expected an integer >= 1"),
+        ("[solver]\nmax_backtracks = 100\n", [], "unknown config key [solver] max_backtracks"),
+        ("", ["--l0", "abc"], "--l0: bad l0 'abc'; expected a number or 'lipschitz'"),
+        ("", ["--config", "no/such/config.ini"], "config file not found: no/such/config.ini"),
+        ("[path]\nfractions = 0.5,0.5\n", [], "[path] fractions: expected a nonempty list"),
+        ("[bench]\ngrid = 60x0\n", [], "[bench] grid: bad grid cell '60x0'"),
     ])
     def test_bad_setting_exits_1_naming_it(self, ini, argv, named, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -522,6 +529,12 @@ class TestConfigTable:
         (["cv", *SYNTH, "--folds", "1"], "--folds: expected an integer >= 2"),
         (["bench", "--reps", "0"], "--reps: expected an integer >= 1"),
         (["bench", "--lambda-frac", "-0.1"], "--lambda-frac: expected a positive finite"),
+        (["path", *SYNTH, "--fractions", "0.5,0.5"], "--fractions: expected a nonempty list"),
+        (["path", *SYNTH, "--fractions", "0.1,1.5"], "--fractions: expected a nonempty list"),
+        (["cv", *SYNTH, "--fractions", "nan"], "--fractions: expected a nonempty list"),
+        (["cv", *SYNTH, "--fractions", ","], "--fractions: expected a nonempty list"),
+        (["bench", "--grid", "0x10"], "--grid: bad grid cell '0x10'"),
+        (["bench", "--grid", ","], "--grid: empty benchmark grid"),
     ])
     def test_out_of_range_flag_exits_1_naming_it(self, argv, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR

@@ -11,7 +11,7 @@ PUBLIC = {
     "CAPPED_L1", "CvCell", "CvReport", "DEFAULT_FRACTIONS", "DataError", "Dataset",
     "FitResult", "KINDS", "L1", "LineSearchError", "MCP", "PathPoint", "PathSpec",
     "Penalty", "SCAD", "SolverOptions", "SyntheticSpec", "Trace", "VARIANTS", "accuracy",
-    "bb_stepsize", "cross_validate", "fit", "generate_synthetic", "kfold_split",
+    "cross_validate", "fit", "generate_synthetic", "kfold_split",
     "lambda_max", "lipschitz_constant", "load_csv", "load_libsvm", "loss_gradient",
     "loss_value", "objective", "penalty_value", "predict", "prox_vector", "run_path",
     "sigmoid", "softplus",
@@ -37,7 +37,7 @@ def test_variants_keep_their_names_and_order():
 def test_solver_options_fields_are_pinned():
     # a knob no caller sets belongs in a module constant, not here
     assert [f.name for f in dataclasses.fields(solver.SolverOptions)] == [
-        "variant", "eta", "l0", "max_iters", "tol", "max_backtracks", "seed", "beta0"]
+        "variant", "eta", "l0", "max_iters", "tol", "seed", "beta0"]
 
 
 def test_lipschitz_constant_takes_only_the_data():

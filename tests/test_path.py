@@ -18,6 +18,7 @@ from proxlogit import (
     lambda_max,
     predict,
     run_path,
+    solver,
 )
 
 from conftest import assert_same_fit, make_dataset
@@ -128,8 +129,9 @@ class TestRunPath:
             assert point.result.trace.objectives == alone.trace.objectives
             beta_prev = alone.beta
 
-    def test_solver_error_names_fraction(self, small_data):
-        bad = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001, max_backtracks=1)
+    def test_solver_error_names_fraction(self, small_data, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
+        bad = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001)
         spec = PathSpec(pen_template=Penalty.l1(1.0), opts=bad, fractions=(0.1,))
         with pytest.raises(RuntimeError, match="fraction 0.1"):
             run_path(small_data, spec)
@@ -245,3 +247,13 @@ class TestCrossValidate:
     def test_k_below_two_rejected(self, small_data):
         with pytest.raises(ValueError):
             cross_validate(small_data, self.spec(), k=1, seed=0)
+
+    def test_zero_features_skip_every_cell(self):
+        # every fold's gradient at the origin vanishes, so no path has a lambda_max
+        data = Dataset(np.zeros((3, 8)), np.array([0.0, 1.0] * 4))
+        report = cross_validate(data, self.spec(), k=2, seed=0)
+        assert [(c.fraction, c.fold) for c in report.cells] == [
+            (0.5, 0), (0.1, 0), (0.5, 1), (0.1, 1)]
+        for c in report.cells:
+            assert c.reason == "gradient at the origin is zero; lambda_max is undefined"
+            assert (c.accuracy, c.nnz, c.iterations, c.converged) == (None, None, None, None)

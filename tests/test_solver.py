@@ -14,7 +14,6 @@ from proxlogit import (
     Penalty,
     SolverOptions,
     VARIANTS,
-    bb_stepsize,
     fit,
     lambda_max,
     lipschitz_constant,
@@ -27,10 +26,10 @@ from proxlogit import (
 )
 from proxlogit import data as data_module, solver
 from proxlogit.logistic import Products, margins
-from proxlogit.solver import _fista_t_next
+from proxlogit.solver import _bb_seed, _fista_t_next
 
 from conftest import assert_same_fit, make_dataset
-from solver_reference import anchor_state, prox_step, q_upper
+from solver_reference import anchor_state, bound_trial, prox_step, q_upper
 
 
 def reference_optimum(data, pen, max_iters=50_000):
@@ -108,24 +107,24 @@ class TestQUpper:
 class TestBbStepsize:
     def test_identity_curvature(self):
         d = np.array([1.0, 2.0])
-        assert bb_stepsize(d, d, fallback=9.0) == 1.0
+        assert _bb_seed(d, d, 9.0) == 1.0
 
     def test_double_curvature(self):
         d = np.array([1.0, -1.0, 2.0])
-        assert bb_stepsize(d, 2 * d, fallback=9.0) == 2.0
+        assert _bb_seed(d, 2 * d, 9.0) == 2.0
 
     def test_negative_curvature_falls_back(self):
         d = np.array([1.0, 0.0])
         v = np.array([-1.0, 0.0])
-        assert bb_stepsize(d, v, fallback=9.0) == 9.0
+        assert _bb_seed(d, v, 9.0) == 9.0
 
     def test_zero_step_falls_back(self):
         z = np.zeros(3)
-        assert bb_stepsize(z, np.ones(3), fallback=4.5) == 4.5
+        assert _bb_seed(z, np.ones(3), 4.5) == 4.5
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            bb_stepsize(np.ones(2), np.ones(3), fallback=1.0)
+            _bb_seed(np.ones(2), np.ones(3), 1.0)
 
 
 class TestLineSearches:
@@ -134,8 +133,8 @@ class TestLineSearches:
         L_lip = lipschitz_constant(small_data)
         rng = np.random.default_rng(11)
         anchor = rng.normal(size=small_data.n_features)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     1.5 * L_lip, 2.0, 50, sufficient_decrease=False)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, False),
+                                     1.5 * L_lip, 2.0)
         assert out.trials == 0
         assert out.L == 1.5 * L_lip
 
@@ -143,35 +142,33 @@ class TestLineSearches:
         pen = Penalty.l1(0.2)
         L_lip = lipschitz_constant(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     L_lip / 100, 2.0, 50, sufficient_decrease=False)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, False),
+                                     L_lip / 100, 2.0)
         assert out.L <= 2.0 * L_lip
 
     def test_convex_at_fixed_point(self, small_data):
         lam = 1.5 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
         pen = Penalty.l1(lam)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     1e-3, 2.0, 10, sufficient_decrease=False)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, False), 1e-3, 2.0)
         assert out.trials == 0
         np.testing.assert_array_equal(out.candidate, anchor)
 
-    def test_convex_exhaustion_raises(self, small_data):
+    def test_convex_exhaustion_raises(self, small_data, monkeypatch):
         lam = 0.1 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
         pen = Penalty.l1(lam)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
         with pytest.raises(LineSearchError) as err:
-            solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                   1e-10, 1.01, 1, sufficient_decrease=False)
+            solver._forward_search(bound_trial(anchor, small_data, pen, False), 1e-10, 1.01)
         assert err.value.last_L > 0
 
     def test_sufficient_decrease_at_fixed_point(self, small_data):
         lam = 1.5 * lambda_max(small_data)
         anchor = np.zeros(small_data.n_features)
         pen = Penalty.scad(lam, 3.7)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     lipschitz_constant(small_data), 2.0, 10,
-                                     sufficient_decrease=True)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, True),
+                                     lipschitz_constant(small_data), 2.0)
         assert out.trials == 0
         np.testing.assert_array_equal(out.candidate, anchor)
 
@@ -180,8 +177,8 @@ class TestLineSearches:
         L_lip = lipschitz_constant(small_data)
         rng = np.random.default_rng(12)
         anchor = rng.normal(scale=0.5, size=small_data.n_features)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     2.0 * L_lip, 2.0, 50, sufficient_decrease=True)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, True),
+                                     2.0 * L_lip, 2.0)
         assert out.trials == 0
 
     def test_sufficient_decrease_implies_descent(self, small_data):
@@ -189,19 +186,18 @@ class TestLineSearches:
         rng = np.random.default_rng(13)
         anchor = rng.normal(size=small_data.n_features)
         f_anchor = objective(anchor, small_data, pen)
-        out = solver._forward_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     lipschitz_constant(small_data), 2.0, 50,
-                                     sufficient_decrease=True)
+        out = solver._forward_search(bound_trial(anchor, small_data, pen, True),
+                                     lipschitz_constant(small_data), 2.0)
         assert out.objective <= f_anchor
 
 
 class TestReverseSearch:
-    def test_degenerate_cap_returns_base(self, small_data):
+    def test_degenerate_cap_returns_base(self, small_data, monkeypatch):
         pen = Penalty.l1(0.2)
         L0 = lipschitz_constant(small_data)
         anchor = np.zeros(small_data.n_features)
-        out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     L0, 2.0, 1, 100, sufficient_decrease=False)
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", 1)
+        out = solver._reverse_search(bound_trial(anchor, small_data, pen, False), L0, 2.0)
         assert out.L == L0
 
     def test_convex_base_never_falls_back(self, small_data):
@@ -212,11 +208,10 @@ class TestReverseSearch:
         rng = np.random.default_rng(14)
         for _ in range(5):
             anchor = rng.normal(size=small_data.n_features)
-            out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data,
-                                         pen, L0, 2.0, 30, 100, sufficient_decrease=False)
+            out = solver._reverse_search(bound_trial(anchor, small_data, pen, False), L0, 2.0)
             assert out.L <= L0
 
-    def test_accepted_step_is_maximal(self, small_data):
+    def test_accepted_step_is_maximal(self, small_data, monkeypatch):
         # one more eta-expansion beyond the accepted L must violate the
         # criterion (unless the expansion budget was exhausted)
         pen = Penalty.l1(0.2)
@@ -224,8 +219,8 @@ class TestReverseSearch:
         eta, cap = 2.0, 30
         rng = np.random.default_rng(15)
         anchor = rng.normal(size=small_data.n_features)
-        out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data, pen,
-                                     L0, eta, cap, 100, sufficient_decrease=False)
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
+        out = solver._reverse_search(bound_trial(anchor, small_data, pen, False), L0, eta)
         if out.L > L0 / eta ** (cap - 1):  # budget not exhausted
             L_next = out.L / eta
             cand = prox_step(anchor, small_data, pen, L_next)
@@ -241,9 +236,8 @@ class TestReverseSearch:
         for _ in range(10):
             anchor = rng.normal(size=small_data.n_features)
             f_anchor = objective(anchor, small_data, pen)
-            out = solver._reverse_search(*anchor_state(anchor, small_data, pen), small_data,
-                                         pen, L_lip / 64, 2.0, 20, 100,
-                                         sufficient_decrease=True)
+            out = solver._reverse_search(bound_trial(anchor, small_data, pen, True),
+                                         L_lip / 64, 2.0)
             diff = out.candidate - anchor
             assert out.objective <= f_anchor - 0.5 * out.L * float(diff @ diff)
 
@@ -268,11 +262,10 @@ class TestReverseSearch:
         scales = self._record_prox_scales(monkeypatch)
         for _ in range(10):
             anchor = rng.normal(size=small_data.n_features)
-            state = anchor_state(anchor, small_data, pen)
-            scales.clear()
             holder = Products()
-            out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
-                                         sufficient_decrease=True, holder=holder)
+            trial = bound_trial(anchor, small_data, pen, True, holder)
+            scales.clear()
+            out = solver._reverse_search(trial, L_lip / 64, 2.0)
             assert out.L > L_lip / 64  # the fallback path
             # the first block of the ladder, L0 first, then the forward part
             block, forward = scales[:solver._BLOCK], scales[solver._BLOCK:]
@@ -284,21 +277,21 @@ class TestReverseSearch:
                                            for i in range(len(forward) + 1)]
 
     def test_fallback_budget_keeps_last_L(self, small_data, monkeypatch):
-        # L0, then max_backtracks forward steps: the same scales and last_L
+        # L0, then _MAX_BACKTRACKS forward steps: the same scales and last_L
         # as a forward search from L0
         pen = Penalty.scad(0.2 * lambda_max(small_data), 3.7)
         anchor = np.random.default_rng(16).normal(size=small_data.n_features)
         L0 = lipschitz_constant(small_data) * 2.0 ** -40
-        state = anchor_state(anchor, small_data, pen)
+        trial = bound_trial(anchor, small_data, pen, True)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 3)
         scales = self._record_prox_scales(monkeypatch)
         with pytest.raises(LineSearchError, match="after 3 backtracks") as err:
-            solver._reverse_search(*state, small_data, pen, L0, 2.0, 60, 3,
-                                   sufficient_decrease=True)
+            solver._reverse_search(trial, L0, 2.0)
         assert scales == ([L0 / 2.0 ** i for i in range(solver._BLOCK)]
                           + [2.0 * L0, 4.0 * L0, 8.0 * L0])
         assert err.value.last_L == 8.0 * L0
         with pytest.raises(LineSearchError) as forward_err:
-            solver._forward_search(*state, small_data, pen, L0, 2.0, 3, sufficient_decrease=True)
+            solver._forward_search(trial, L0, 2.0)
         assert forward_err.value.last_L == err.value.last_L
 
     @staticmethod
@@ -327,22 +320,23 @@ class TestReverseSearch:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("eta, cap", [(2.0, 60), (1.3, 13), (1.3, 60)])
-    def test_blocks_take_the_sequential_scan_index(self, kind, eta, cap):
+    def test_blocks_take_the_sequential_scan_index(self, kind, eta, cap, monkeypatch):
         data = make_dataset(seed=95, d=30, n=80)
         pen = penalty_of(kind, 0.1 * lambda_max(data))
         sufficient = kind != "l1"
         L_lip = lipschitz_constant(data)
         rng = np.random.default_rng(96)
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
         near = 0
         for _ in range(24):
             anchor = rng.normal(scale=10.0 ** rng.uniform(-2, 0), size=data.n_features)
             L0 = L_lip * 2.0 ** rng.uniform(-1, 3)
-            state = anchor_state(anchor, data, pen)
-            checks = self.sequential_scan(state, data, pen, L0, eta, cap, sufficient)
+            checks = self.sequential_scan(anchor_state(anchor, data, pen), data, pen, L0, eta,
+                                          cap, sufficient)
             first_fail = len(checks) - 1 if checks[-1][0] > checks[-1][1] else None
             holder = Products()
-            out = solver._reverse_search(*state, data, pen, L0, eta, cap, 100, sufficient,
-                                         holder=holder)
+            out = solver._reverse_search(bound_trial(anchor, data, pen, sufficient, holder),
+                                         L0, eta)
             if first_fail == 0:
                 assert out.L > L0  # the forward fallback
                 continue
@@ -367,11 +361,11 @@ class TestReverseSearch:
         # and meets its upper model exactly, so no scale of the ladder fails
         pen = Penalty.l1(1.5 * lambda_max(small_data))
         L0 = lipschitz_constant(small_data)
-        state = anchor_state(np.zeros(small_data.n_features), small_data, pen)
-        scales = self._record_prox_scales(monkeypatch)
         holder = Products()
-        out = solver._reverse_search(*state, small_data, pen, L0, 2.0, cap, 100,
-                                     sufficient_decrease=False, holder=holder)
+        trial = bound_trial(np.zeros(small_data.n_features), small_data, pen, False, holder)
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
+        scales = self._record_prox_scales(monkeypatch)
+        out = solver._reverse_search(trial, L0, 2.0)
         assert scales == [L0 / 2.0 ** i for i in range(cap)]
         assert out.L == L0 / 2.0 ** (cap - 1)
         assert out.trials == cap - 1 and holder.products == cap
@@ -381,13 +375,13 @@ class TestReverseSearch:
         pen = Penalty.mcp(0.2 * lambda_max(small_data), 3.0)
         rng = np.random.default_rng(17)
         for _ in range(5):
-            state = anchor_state(rng.normal(size=small_data.n_features),
-                                         small_data, pen)
+            anchor = rng.normal(size=small_data.n_features)
             reverse_products, forward_products = Products(), Products()
-            out = solver._reverse_search(*state, small_data, pen, L_lip / 64, 2.0, 20, 100,
-                                         sufficient_decrease=True, holder=reverse_products)
-            forward = solver._forward_search(*state, small_data, pen, L_lip / 32, 2.0, 100,
-                                             True, tried=1, holder=forward_products)
+            out = solver._reverse_search(
+                bound_trial(anchor, small_data, pen, True, reverse_products), L_lip / 64, 2.0)
+            forward = solver._forward_search(
+                bound_trial(anchor, small_data, pen, True, forward_products), L_lip / 32, 2.0,
+                tried=1)
             assert out.L == forward.L > L_lip / 64
             assert out.trials == forward.trials and out.objective == forward.objective
             np.testing.assert_array_equal(out.candidate, forward.candidate)
@@ -550,9 +544,10 @@ class TestFit:
         assert np.all(np.array(tr.step_scales) > 0)
         assert len(tr) == len(tr.objectives) == len(tr.times) == len(tr.step_sqs)
 
-    def test_line_search_failure_propagates(self, small_data):
+    def test_line_search_failure_propagates(self, small_data, monkeypatch):
         lam = 0.1 * lambda_max(small_data)
-        opts = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001, max_backtracks=1)
+        monkeypatch.setattr(solver, "_MAX_BACKTRACKS", 1)
+        opts = SolverOptions(variant="ista_vanilla", l0=1e-12, eta=1.001)
         with pytest.raises(LineSearchError):
             fit(small_data, Penalty.l1(lam), opts)
 
@@ -982,7 +977,6 @@ class TestSolverOptionsValidation:
         {"l0": 0.0},
         {"max_iters": -1},
         {"tol": -1e-3},
-        {"max_backtracks": 0},
         {"l0": -1.0},
         {"beta0": "ones"},
         {"eta": math.inf},
@@ -991,7 +985,16 @@ class TestSolverOptionsValidation:
         {"l0": math.nan},
         {"tol": math.inf},
         {"tol": math.nan},
+        {"beta0": np.full(4, np.nan)},
+        {"beta0": np.array([0.0, np.inf, 1.0])},
+        {"beta0": [0.0, -np.inf]},
     ])
     def test_rejects_bad_options(self, kwargs):
         with pytest.raises(ValueError):
             SolverOptions(**kwargs)
+
+    def test_rejects_a_start_of_the_wrong_shape(self, small_data):
+        d = small_data.n_features
+        opts = SolverOptions(beta0=np.zeros(d + 1))
+        with pytest.raises(ValueError, match=rf"beta0 has shape \({d + 1},\), expected \({d},\)"):
+            fit(small_data, Penalty.l1(0.5), opts)
