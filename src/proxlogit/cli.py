@@ -96,13 +96,17 @@ _parse_fractions = _checked(  # in any order; returned increasing, as PathSpec t
     "a nonempty list of distinct fractions in (0, 1]")
 
 
-def _parse_l0(text: str) -> float | None:
+def _number_or_lipschitz(text: str) -> float | None:
     if text.strip().lower() in ("", "lipschitz", "auto"):
         return None
     try:
         return float(text)
     except ValueError:
         raise CliError(f"bad l0 {text!r}; expected a number or 'lipschitz'") from None
+
+
+_parse_l0 = _checked(_number_or_lipschitz, lambda v: v is None or 0 < v < np.inf,
+                     "a positive finite number or 'lipschitz'")
 
 
 def _choice(options):
@@ -160,12 +164,15 @@ class RunConfig:
                                    help="capped-l1 cap (default: half of lambda_max)")
 
     variant: str = _field("ista_bb", "solver.variant", "--variant", _choice(VARIANTS), _FITS)
-    eta: float = _field(2.0, "solver.eta", "--eta", float,
+    eta: float = _field(2.0, "solver.eta", "--eta",
+                        _checked(float, lambda v: 1 < v < np.inf, "a finite number > 1"),
                         help="line-search growth factor (> 1)")
     l0: float | None = _field(None, "solver.l0", "--l0", _parse_l0,  # None: Lipschitz
                               help="initial step scale: a number or 'lipschitz'")
-    max_iters: int = _field(10_000, "solver.max_iters", "--max-iters", int)
-    tol: float = _field(1e-9, "solver.tol", "--tol", float,
+    max_iters: int = _field(10_000, "solver.max_iters", "--max-iters",
+                            _checked(int, lambda v: v >= 0, "an integer >= 0"))
+    tol: float = _field(1e-9, "solver.tol", "--tol",
+                        _checked(float, lambda v: 0 <= v < np.inf, "a finite number >= 0"),
                         help="relative objective-change stop")
     seed: int = _field(0, "solver.seed", "--seed", int,
                        help="seed of --beta0 random; bench also seeds cell i's data with seed + i")
@@ -319,8 +326,8 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
+    out = _ensure_out(cfg)
     lam_top = lambda_max(data)
     lam = cfg.lambda_frac * lam_top
     pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=lam)
@@ -348,8 +355,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_path(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
+    out = _ensure_out(cfg)
     lam_top = lambda_max(data)
     template = _build_penalty(cfg, lam_top)
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
@@ -372,8 +379,8 @@ def cmd_path(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    out = _ensure_out(cfg)
     data = _load_dataset(cfg)
+    out = _ensure_out(cfg)
     template = _build_penalty(cfg, lambda_max(data))
     spec = PathSpec(pen_template=template, opts=_build_options(cfg),
                     fractions=cfg.fractions, warm_start=cfg.warm_start)

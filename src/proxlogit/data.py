@@ -9,6 +9,7 @@ mapped -1 -> 0, +1 -> 1.
 from __future__ import annotations
 
 import dataclasses
+import warnings
 
 import numpy as np
 
@@ -109,21 +110,77 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
     return np.vstack([X, np.ones((1, X.shape[1]))])
 
 
-# load_csv turns parsed rows into an array every this many rows, so the
-# Python floats of at most one block are alive at a time (about 1 MB at 250
-# columns) instead of those of the whole file.
+# The CSV fallback scanner turns parsed rows into an array every this many
+# rows, so the Python floats of at most one block are alive at a time (about
+# 1 MB at 250 columns) instead of those of the whole file.  The np.loadtxt
+# path of load_csv parses in C and holds no Python floats.
 _CSV_BLOCK_ROWS = 128
+
+# The ASCII file, group, record and unit separators.  np.loadtxt strips them
+# from the ends of a cell, as str.isspace() holds for them, but float() does
+# not: the scanner rejects the cell "1\x1c", which np.loadtxt reads as 1.0.  A
+# file that holds one goes to the scanner.
+_CSV_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _has_separator_bytes(path) -> bool:
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if any(sep in chunk for sep in _CSV_SEPARATOR_BYTES):
+                return True
+    return False
+
+
+def _loadtxt_table(path, label_column: int, has_header: bool):
+    """``(X, y)`` of a file ``np.loadtxt`` reads as the scanner would, else None."""
+    try:
+        if _has_separator_bytes(path):
+            return None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                               skiprows=1 if has_header else 0, encoding="utf-8")
+    except (ValueError, OSError, Warning):
+        return None
+    if not (len(table) and 0 <= label_column < table.shape[1]):
+        return None
+    y = table[:, label_column]
+    if not np.all((y == 0.0) | (y == 1.0) | (y == -1.0)):
+        return None
+    return np.delete(table, label_column, axis=1).T, np.where(y == -1.0, 0.0, y)
 
 
 def load_csv(path, label_column: int, has_header: bool = False,
              add_intercept: bool = False) -> Dataset:
-    """Load comma-separated data, one sample per line.
+    """Load comma-separated UTF-8 data, one sample per line.
 
     ``label_column`` is the zero-based index of the label column; all other
     columns become features.  Every row must have the same number of cells.
     With ``add_intercept`` a constant-1 feature is appended; note it is
     penalized like any other feature.
+
+    A well-formed file (every cell a number ``np.loadtxt`` reads, no
+    whitespace-only line, no byte 0x1C-0x1F, labels in {0, 1} or {-1, +1}) is
+    parsed in C by one ``np.loadtxt`` call.  Any other file goes to the line scanner, which
+    accepts what ``float()`` accepts (``1_000``, full-width digits), skips
+    whitespace-only lines and names the first faulty line and cell in a
+    ``DataError``.  Both paths give bit-identical arrays, and a file the
+    scanner rejects raises the scanner's error.  During the ``np.loadtxt``
+    call every warning is an error (an empty file warns); that filter holds
+    for the whole process, so a warning another thread raises then is an
+    error too.
     """
+    parsed = _loadtxt_table(path, label_column, has_header)
+    if parsed is None:
+        return _scan_csv(path, label_column, has_header, add_intercept)
+    X, y = parsed
+    if add_intercept:
+        X = _with_intercept(X)
+    return Dataset(X, y)
+
+
+def _scan_csv(path, label_column: int, has_header: bool, add_intercept: bool) -> Dataset:
+    """``load_csv`` one line at a time with ``float()``; raises at the first faulty line."""
     blocks: list[np.ndarray] = []
     rows: list[list[float]] = []
     labels: list[float] = []

@@ -109,6 +109,22 @@ class TestTrain:
         assert capsys.readouterr().err == \
             "error: no dataset path given (use --data or [data] path)\n"
 
+    @pytest.mark.parametrize("command", ["train", "path", "cv"])
+    @pytest.mark.parametrize("argv, message", [
+        (["--format", "csv"], "no dataset path given (use --data or [data] path)"),
+        (["--format", "libsvm"], "no dataset path given (use --data or [data] path)"),
+        (["--data", "no/such.csv"], "dataset file not found: no/such.csv"),
+        (["--format", "libsvm", "--data", "no/such.svm"], "dataset file not found: no/such.svm"),
+        (["--data", "bad.csv"], "line 2, column 1: non-numeric cell 'x'"),
+    ])
+    def test_bad_data_exits_1_before_out_is_made(self, command, argv, message, tmp_path,
+                                                 capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.csv").write_text("1,0\nx,1\n")
+        assert main([command, *argv, "--out", "run"]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
     def test_floating_point_error_exits_1(self, tmp_path, capsys, monkeypatch):
         def diverging_fit(*args, **kwargs):
             raise FloatingPointError("non-finite objective nan at iteration 3")
@@ -535,6 +551,14 @@ class TestConfigTable:
         (["cv", *SYNTH, "--fractions", ","], "--fractions: expected a nonempty list"),
         (["bench", "--grid", "0x10"], "--grid: bad grid cell '0x10'"),
         (["bench", "--grid", ","], "--grid: empty benchmark grid"),
+        (["train", *SYNTH, "--eta", "1"], "--eta: expected a finite number > 1, got '1'"),
+        (["path", *SYNTH, "--eta", "0.5"], "--eta: expected a finite number > 1"),
+        (["cv", *SYNTH, "--tol", "-0.5"], "--tol: expected a finite number >= 0"),
+        (["bench", "--tol", "-1"], "--tol: expected a finite number >= 0"),
+        (["train", *SYNTH, "--max-iters", "-1"], "--max-iters: expected an integer >= 0"),
+        (["path", *SYNTH, "--l0", "0"],
+         "--l0: expected a positive finite number or 'lipschitz', got '0'"),
+        (["bench", "--l0", "-1"], "--l0: expected a positive finite number or 'lipschitz'"),
     ])
     def test_out_of_range_flag_exits_1_naming_it(self, argv, named, tmp_path, capsys):
         assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from proxlogit import (
     load_csv,
     load_libsvm,
 )
+from proxlogit import data as data_module
 
 
 def save_libsvm(data, path):
@@ -114,6 +117,8 @@ class TestLoadCsv:
         ("1,2,1\n1,x,1\n3,0\n", 2, "line 2, column 2: non-numeric cell 'x'"),
         ("1,2,1\n3,0\n1,x,1\n", 2, "row at line 2: expected 3 cells, got 2"),
         ("2,1\n", 0, "line 1, column 1: label 2.0 not in"),
+        # np.loadtxt would strip the separator byte and read 1.0
+        ("1\x1c,0\n", 1, "line 1, column 1: non-numeric cell '1'"),
     ])
     def test_first_fault_reported(self, tmp_path, text, label_column, message):
         p = write(tmp_path / "a.csv", text)
@@ -132,6 +137,48 @@ class TestLoadCsv:
         ds = load_csv(str(p), label_column=1)
         np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
         np.testing.assert_array_equal(ds.labels, table[:, 1])
+
+    @pytest.mark.parametrize("n_rows", [1, 127, 128, 129, 300])
+    def test_rows_across_parse_blocks_on_the_scanner(self, tmp_path, monkeypatch, n_rows):
+        # a whitespace-only last line, which np.loadtxt rejects, sends the file to the
+        # line scanner, the path that has the blocks
+        scanned = []
+        real_scan = data_module._scan_csv
+        monkeypatch.setattr(data_module, "_scan_csv",
+                            lambda *args: scanned.append(args) or real_scan(*args))
+        rng = np.random.default_rng(n_rows)
+        table = rng.standard_normal((n_rows, 4))
+        table[:, 1] = rng.integers(0, 2, size=n_rows)
+        p = tmp_path / "a.csv"
+        np.savetxt(p, table, fmt="%.17g", delimiter=",", footer=" \t", comments="")
+        ds = load_csv(str(p), label_column=1)
+        assert len(scanned) == 1
+        np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
+        np.testing.assert_array_equal(ds.labels, table[:, 1])
+
+    def test_well_formed_file_skips_the_scanner(self, tmp_path, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the line scanner ran")
+
+        monkeypatch.setattr(data_module, "_scan_csv", no_scan)
+        p = write(tmp_path / "a.csv", "x,y,z\r\n+1,0.5,-2e3\r\n\r\n-1, 1.5 ,3\r\n")
+        ds = load_csv(p, label_column=0, has_header=True, add_intercept=True)
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-2e3, 3.0], [1.0, 1.0]])
+        np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
+
+    @pytest.mark.parametrize("text, has_header", [
+        ("", False), ("", True), ("\n\n", False), ("a,b,y\n", True)])
+    def test_no_rows_raise_and_warn_nothing(self, tmp_path, text, has_header):
+        # np.loadtxt warns on a file without rows; the warning is caught, not shown,
+        # and no warning filter is left behind
+        p = write(tmp_path / "a.csv", text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            filters = list(warnings.filters)
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(p, label_column=2, has_header=has_header)
+            assert warnings.filters == filters
+        assert caught == []
 
     def test_label_column_anywhere(self, tmp_path):
         p = write(tmp_path / "a.csv", "1,0.5,2\n-1,1.5,3\n")
