@@ -81,8 +81,10 @@ def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
     """Solve at lambda = fraction * lambda_max for every fraction, largest first.
 
     With ``warm_start`` each point starts from the previous solution.  Every
-    point reads ``data.lipschitz``, so a dataset makes at most one estimate
-    however many paths run on it.  Solver failures are re-raised with the
+    point reads ``data.lipschitz``, so the full data is estimated at most once
+    however many paths run on it; a warm l1 point of ``fista_lip``,
+    ``fista_vanilla`` or ``ista_vanilla`` also estimates each working set it
+    solves on (see ``solver``).  Solver failures are re-raised with the
     offending fraction named.
     """
     lam_top = lambda_max(data)

@@ -11,13 +11,24 @@ search runs, and whether Nesterov momentum extrapolates the anchor.
     ista_vanilla   carried L                        forward   no
     fista_vanilla  the fista_lip row
 
-For every variant L0 is the Lipschitz constant of the loss gradient,
-``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes it, so ``fista_lip``
-and ``fista_vanilla`` are one algorithm under two names.  A forward search
-grows L from its seed by ``eta`` until the criterion passes, so a carried L
-never shrinks; the reverse search shrinks L from L0 while candidates pass and
-keeps the last passing one.  Momentum does not keep descent monotone under the
-nonconvex penalties, so its variants take the l1 penalty only.
+For every variant L0 is the Lipschitz constant of the loss gradient of the
+problem being solved, ``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes
+it, so ``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.
+A forward search grows L from its seed by ``eta`` until the criterion passes,
+so a carried L never shrinks; the reverse search shrinks L from L0 while
+candidates pass and keeps the last passing one.  Momentum does not keep
+descent monotone under the nonconvex penalties, so its variants take the l1
+penalty only.
+
+On a working set (below) the carried variants start each solve from the
+set's own constant, one estimate per set.  The full data's bounds it and was
+about twice it on the benchmark's l1 path; a carried L never shrinks, so
+seeded with the full data's every step of the solve would stay that much
+shorter.  A set whose constant is not a positive normal float (all-zero
+rows, or an underflow at extreme feature scales) keeps the full data's L0.
+``ista_bb`` and ``ista_reverse`` keep the full data's L0 on every set: it
+seeds only their first BB step and its clamp, or the top of the reverse
+ladder, so a set's estimate costs more than it saves.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -60,7 +71,8 @@ the features of largest |gradient|, then checks the l1 optimality condition
 worst violators, until no feature outside the set violates it.  The fit
 converges only when its last solve converged with no violator left, and all
 of its solves share ``max_iters``.  Near a warm start the solution's support
-is small and mostly known, so the products shrink from d rows to |ws|.  A
+is small and mostly known, so the products shrink from d rows to |ws|, and
+the step scale of the carried variants from the full data's to the set's.  A
 start with an empty support has none to begin from, and a working set there
 holds FISTA's early iterates above its O(1/k^2) bound; a set as large as the
 data saves nothing.  So every other fit iterates on the full data: cold,
@@ -400,6 +412,22 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
     return beta0
 
 
+def _set_lipschitz(sub: Dataset, L0: float) -> float:
+    """A working set's own ``sub.lipschitz`` when it is a positive normal float, else ``L0``.
+
+    A set of all-zero rows has no positive spectrum, and a set of tiny rows
+    can have a constant below the normal range, which ``lipschitz_constant``
+    warns of or raises for; such a set keeps the full data's ``L0`` quietly.
+    """
+    if not sub.features.any():
+        return L0
+    try:
+        L = sub.lipschitz
+    except ValueError:
+        return L0
+    return L if np.finfo(np.float64).tiny <= L < math.inf else L0
+
+
 def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
              holder: Products, trace: Trace):
     """Iterate from ``beta``, whose margins on ``data`` are ``z_beta``, until the stop.
@@ -497,8 +525,10 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
 
     The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
     ``Dataset`` keeps the estimate, so all fits on one dataset, every point
-    of a path included, make at most one; a working set uses the full
-    data's, which bounds its own.
+    of a path included, estimate the full data at most once.  A working set
+    of ``fista_lip``, ``fista_vanilla`` or ``ista_vanilla`` makes one more
+    estimate, of the set's own constant, for its solve (the rule of the
+    module docstring); a fixed ``opts.l0`` fixes every set's scale too.
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
@@ -513,8 +543,13 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     z_beta = margins(beta, data, holder)
     trace = Trace(loss_from_margins(z_beta, data) + penalty_value(beta, pen), start)
 
+    own_scale = opts.l0 is None and _POLICIES[opts.variant].seed == "carried"
+
     def descend(sub: Dataset, b, z):
-        return _descend(sub, b, z, pen, opts, L0, holder, trace)
+        # A set of all d features is the data itself, whose constant is L0.
+        own = own_scale and sub.n_features < data.n_features
+        return _descend(sub, b, z, pen, opts, _set_lipschitz(sub, L0) if own else L0,
+                        holder, trace)
 
     nnz = np.count_nonzero(beta)
     size = max(_WS_MIN, _WS_GROWTH * nnz)

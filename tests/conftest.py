@@ -41,14 +41,19 @@ def small_data() -> Dataset:
 
 @pytest.fixture
 def lipschitz_calls(monkeypatch) -> list:
-    """Record the dataset of every Lipschitz estimate that ``Dataset.lipschitz`` makes."""
+    """Record the (d, n) shape of every dataset ``Dataset.lipschitz`` estimates, in order.
+
+    A shape tells the full data from a fit's working sets, which have fewer
+    rows; the working sets are made inside ``fit``, so a test holds no other
+    handle on them.
+    """
     from proxlogit import data
 
     calls = []
     real = data.lipschitz_constant
 
     def counting(data, *args, **kwargs):
-        calls.append(data)
+        calls.append(data.features.shape)
         return real(data, *args, **kwargs)
 
     monkeypatch.setattr(data, "lipschitz_constant", counting)

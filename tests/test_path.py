@@ -26,6 +26,13 @@ from conftest import assert_same_fit, make_dataset
 FAST = SolverOptions(variant="ista_bb", max_iters=3000, tol=1e-10)
 
 
+def assert_one_full_estimate_then_sets(shapes, data) -> None:
+    """The full data is estimated first and once; every other estimate is a working set's."""
+    d, n = data.features.shape
+    assert shapes[0] == (d, n)
+    assert all(rows < d and cols == n for rows, cols in shapes[1:])
+
+
 class TestLambdaMax:
     def test_identity_instance(self):
         data = Dataset(np.eye(2), np.array([1.0, 0.0]))
@@ -98,24 +105,27 @@ class TestRunPath:
         assert points[0.8].result.nnz <= points[0.01].result.nnz
 
     @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse", "fista_lip"])
-    def test_one_lipschitz_estimate_per_path(self, small_data, lipschitz_calls, variant):
+    def test_one_full_data_estimate_per_path(self, small_data, lipschitz_calls, variant):
         spec = PathSpec(pen_template=Penalty.l1(1.0), opts=SolverOptions(variant=variant))
         points = run_path(small_data, spec)
         assert len(points) == len(DEFAULT_FRACTIONS)
-        assert len(lipschitz_calls) == 1
+        assert_one_full_estimate_then_sets(lipschitz_calls, small_data)
+        # only a carried step scale starts each working set from the set's own
+        assert (len(lipschitz_calls) > 1) == (variant == "fista_lip")
 
     def test_fixed_l0_path_never_estimates(self, small_data, lipschitz_calls):
         opts = SolverOptions(variant="ista_vanilla", l0=1.0)
         run_path(small_data, PathSpec(pen_template=Penalty.mcp(1.0, 3.0), opts=opts))
         assert lipschitz_calls == []
         small_data.lipschitz
-        assert lipschitz_calls == [small_data]
+        assert lipschitz_calls == [small_data.features.shape]
 
-    def test_two_paths_share_one_estimate(self, small_data, lipschitz_calls):
+    def test_two_paths_share_one_full_data_estimate(self, small_data, lipschitz_calls):
         for variant in ("ista_bb", "fista_lip"):
             run_path(small_data, PathSpec(pen_template=Penalty.l1(1.0),
                                           opts=SolverOptions(variant=variant)))
-        assert lipschitz_calls == [small_data]
+        assert_one_full_estimate_then_sets(lipschitz_calls, small_data)
+        assert len(lipschitz_calls) > 1
 
     def test_shared_estimate_is_bitwise_equal_to_per_fit_estimates(self, small_data):
         spec = PathSpec(pen_template=Penalty.scad(1.0, 3.7),
@@ -242,7 +252,7 @@ class TestCrossValidate:
         data = make_dataset(seed=141, d=8, n=60)
         cross_validate(data, self.spec(fractions=(0.1, 0.3, 0.5)), k=3, seed=4)
         assert len(lipschitz_calls) == 3
-        assert [d.n_samples for d in lipschitz_calls] == [40, 40, 40]
+        assert [n for _, n in lipschitz_calls] == [40, 40, 40]
 
     def test_k_below_two_rejected(self, small_data):
         with pytest.raises(ValueError):

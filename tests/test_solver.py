@@ -564,7 +564,7 @@ class TestFitLipschitz:
         opts = SolverOptions(variant=variant, max_iters=300)
         first = fit(small_data, pen, opts)
         second = fit(small_data, pen, opts)
-        assert lipschitz_calls == [small_data]
+        assert lipschitz_calls == [small_data.features.shape]
         fresh = fit(Dataset(small_data.features, small_data.labels), pen, opts)
         for other in (second, fresh):
             np.testing.assert_array_equal(other.beta, first.beta)
@@ -575,14 +575,14 @@ class TestFitLipschitz:
 
     def test_estimates_once_and_reports_it(self, small_data, lipschitz_calls):
         fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb"))
-        assert lipschitz_calls == [small_data]
+        assert lipschitz_calls == [small_data.features.shape]
         assert small_data.lipschitz == lipschitz_constant(small_data)
         assert len(lipschitz_calls) == 1
 
     def test_given_constant_skips_estimate(self, small_data, lipschitz_calls):
         L = small_data.lipschitz
         res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"))
-        assert lipschitz_calls == [small_data]
+        assert lipschitz_calls == [small_data.features.shape]
         assert res.trace.step_scales[0] >= L
 
     def test_fixed_l0_never_estimates(self, small_data, lipschitz_calls):
@@ -609,7 +609,7 @@ class TestFitLipschitz:
         fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
         assert rounds and all(rows < data.n_features for _, rows in rounds)
         # a fixed l0 reads no constant; no working set estimates its own
-        assert lipschitz_calls == ([data] if l0 is None else [])
+        assert lipschitz_calls == ([data.features.shape] if l0 is None else [])
 
     def test_rejects_infinite_l0(self, small_data):
         with pytest.raises(ValueError, match="finite"):
@@ -750,6 +750,19 @@ def record_rounds(monkeypatch) -> list:
 
     monkeypatch.setattr(solver, "_descend", recording)
     return rounds
+
+
+def record_solves(monkeypatch) -> list:
+    """Patch ``solver._descend`` to record the dataset and the L0 of each solve of a fit."""
+    solves = []
+    real = solver._descend
+
+    def recording(data, beta, z, pen, opts, L0, holder, trace):
+        solves.append((data, L0))
+        return real(data, beta, z, pen, opts, L0, holder, trace)
+
+    monkeypatch.setattr(solver, "_descend", recording)
+    return solves
 
 
 def warm_start(data, fraction, variant="ista_bb") -> np.ndarray:
@@ -949,6 +962,73 @@ class TestWorkingSet:
         res = fit(data, pen, dataclasses.replace(opts, beta0=beta0))
         assert np.all(np.isfinite(res.beta))
         assert res.final_objective == objective(res.beta, data, pen)
+
+    # A carried step scale starts each working set from the set's own constant.
+    FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8)
+
+    def paths(self, variant):
+        """The warm path with the default L0, and with L0 pinned to the full data's."""
+        data = make_dataset(seed=94, d=150, n=50)
+        spec = PathSpec(Penalty.l1(1.0), SolverOptions(variant=variant), fractions=self.FRACTIONS)
+        pinned = dataclasses.replace(spec, opts=SolverOptions(variant=variant, l0=data.lipschitz))
+        return data, run_path(data, spec), run_path(data, pinned)
+
+    @pytest.mark.parametrize("variant", ["fista_lip", "ista_vanilla"])
+    def test_carried_scale_takes_fewer_iterations(self, variant):
+        pytest.importorskip("scipy")
+        from oracle_reference import l1_oracle
+
+        data, own, pinned = self.paths(variant)
+        assert_same_fit(own[0].result, pinned[0].result)  # the cold first point
+        iterations = [sum(p.result.n_iterations for p in pts) for pts in (own, pinned)]
+        assert iterations[0] < iterations[1]
+        for pt in own:
+            assert pt.result.converged
+            f, f_star = pt.result.final_objective, l1_oracle(data.features, data.labels,
+                                                             pt.lam)[1]
+            assert f_star - 1e-9 * abs(f_star) <= f <= f_star + 1e-5 * abs(f_star)
+
+    @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse"])
+    def test_seeded_searches_keep_the_full_constant(self, variant):
+        _, own, pinned = self.paths(variant)
+        for a, b in zip(own, pinned):
+            assert_same_fit(a.result, b.result)
+
+    def test_fixed_l0_fixes_every_set(self, monkeypatch):
+        data = make_dataset(seed=95, d=200, n=60)
+        beta0 = warm_start(data, 0.4, "fista_lip")
+        solves = record_solves(monkeypatch)
+        opts = SolverOptions(variant="fista_lip", l0=3.0, beta0=beta0)
+        fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
+        assert len(solves) > 1 and {L0 for _, L0 in solves} == {3.0}
+
+    def test_degenerate_set_keeps_the_full_constant(self, monkeypatch):
+        # Rows 0-19 are tiny, so every set of them has a constant below the
+        # normal range; rows 20-29 are constant, and at the start the labels
+        # give them an exactly zero gradient, so the set holds tiny rows only.
+        rng = np.random.default_rng(97)
+        n = 20
+        X = np.vstack([1e-170 * rng.standard_normal((20, n)), np.ones((10, n))])
+        data = Dataset(X, np.arange(n) % 2.0)
+        beta0 = np.zeros(30)
+        beta0[:4] = 1.0
+        solves = record_solves(monkeypatch)
+        res = fit(data, Penalty.l1(1.0), SolverOptions(variant="fista_lip", beta0=beta0))
+        assert res.converged and np.all(np.isfinite(res.beta))
+        (sub, L0), = solves
+        assert sub.n_features == 10 and np.max(np.abs(sub.features)) < 1e-160
+        assert L0 == data.lipschitz
+
+    def test_set_constant_is_used_only_when_normal(self, monkeypatch):
+        y = np.arange(4) % 2.0
+        zero = Dataset(np.zeros((3, 4)), y)
+        tiny = Dataset(1e-170 * np.ones((3, 4)), y)
+        plain = Dataset(np.ones((3, 4)), y)
+        assert solver._set_lipschitz(zero, 7.0) == 7.0
+        assert solver._set_lipschitz(tiny, 7.0) == 7.0
+        assert solver._set_lipschitz(plain, 7.0) == plain.lipschitz == pytest.approx(3.0)
+        monkeypatch.setattr(data_module, "lipschitz_constant", lambda data: 1e-310)
+        assert solver._set_lipschitz(Dataset(np.ones((3, 4)), y), 7.0) == 7.0
 
 
 class TestFitClock:
