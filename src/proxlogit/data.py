@@ -9,7 +9,6 @@ mapped -1 -> 0, +1 -> 1.
 from __future__ import annotations
 
 import dataclasses
-import re
 import warnings
 
 import numpy as np
@@ -123,43 +122,19 @@ _CSV_BLOCK_ROWS = 128
 # file that holds one goes to the scanner.
 _CSV_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
-# A line of spaces or tabs, which the scanner skips, makes np.loadtxt fail
-# after a whole parse (it accepts empty and "\r\n" lines).  Only a chunk that
-# holds one of these bytes is searched for such a line.
-_LINE_SPACE_BYTES = (b" ", b"\t", b"\v", b"\f")
-_BLANK_LINE = re.compile(rb"\n[ \t\v\f]+[\r\n]")
 
-# The pre-scan reads the file in chunks of this many bytes.
-_CSV_CHUNK_BYTES = 1 << 20
-
-
-def _needs_scanner(path) -> bool:
-    """Whether the file holds a separator byte or a whitespace-only line.
-
-    One chunked pass looks for both.  A line still blank at the end of a
-    chunk is carried into the next one's search, and the last line of the
-    file needs no line break.  A line broken by a lone "\r" is not seen:
-    ``np.loadtxt`` then fails on it, and the file still reaches the scanner.
-    """
-    tail = b"\n"  # the line break before the first line
+def _has_separator_bytes(path) -> bool:
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_CSV_CHUNK_BYTES), b""):
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
             if any(sep in chunk for sep in _CSV_SEPARATOR_BYTES):
                 return True
-            if ((len(tail) > 1 or any(sp in chunk for sp in _LINE_SPACE_BYTES))
-                    and _BLANK_LINE.search(tail + chunk)):
-                return True
-            last = chunk.rfind(b"\n")
-            tail = chunk[last:] if last >= 0 else tail + chunk
-            if not tail.isspace():
-                tail = b""
-    return _BLANK_LINE.search(tail + b"\n") is not None
+    return False
 
 
 def _loadtxt_table(path, label_column: int, has_header: bool):
     """``(X, y)`` of a file ``np.loadtxt`` reads as the scanner would, else None."""
     try:
-        if _needs_scanner(path):
+        if _has_separator_bytes(path):
             return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -186,15 +161,14 @@ def load_csv(path, label_column: int, has_header: bool = False,
 
     A well-formed file (every cell a number ``np.loadtxt`` reads, no
     whitespace-only line, no byte 0x1C-0x1F, labels in {0, 1} or {-1, +1}) is
-    parsed in C by one ``np.loadtxt`` call.  Any other file goes to the line
-    scanner, which accepts what ``float()`` accepts (``1_000``, full-width
-    digits), skips whitespace-only lines and names the first faulty line and
-    cell in a ``DataError``.  One pass over the bytes finds such lines and
-    bytes first, so a file that holds them skips the ``np.loadtxt`` attempt.
-    Both paths give bit-identical arrays, and a file the scanner rejects
-    raises the scanner's error.  During the ``np.loadtxt`` call every
-    warning is an error (an empty file warns); that filter holds for the
-    whole process, so a warning another thread raises then is an error too.
+    parsed in C by one ``np.loadtxt`` call.  Any other file goes to the line scanner, which
+    accepts what ``float()`` accepts (``1_000``, full-width digits), skips
+    whitespace-only lines and names the first faulty line and cell in a
+    ``DataError``.  Both paths give bit-identical arrays, and a file the
+    scanner rejects raises the scanner's error.  During the ``np.loadtxt``
+    call every warning is an error (an empty file warns); that filter holds
+    for the whole process, so a warning another thread raises then is an
+    error too.
     """
     parsed = _loadtxt_table(path, label_column, has_header)
     if parsed is None:

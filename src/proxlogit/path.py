@@ -83,8 +83,8 @@ def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
     With ``warm_start`` each point starts from the previous solution.  Every
     point reads ``data.lipschitz``, so the full data is estimated at most once
     however many paths run on it; a warm l1 point of ``fista_lip``,
-    ``fista_vanilla`` or ``ista_vanilla`` also estimates each working set it
-    solves on (see ``solver``).  Solver failures are re-raised with the
+    ``fista_vanilla`` or ``ista_vanilla`` also estimates its first working
+    set (see ``solver``).  Solver failures are re-raised with the
     offending fraction named.
     """
     lam_top = lambda_max(data)

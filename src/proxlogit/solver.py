@@ -20,15 +20,19 @@ candidates pass and keeps the last passing one.  Momentum does not keep
 descent monotone under the nonconvex penalties, so its variants take the l1
 penalty only.
 
-On a working set (below) the carried variants start each solve from the
-set's own constant, one estimate per set.  The full data's bounds it and was
-about twice it on the benchmark's l1 path; a carried L never shrinks, so
-seeded with the full data's every step of the solve would stay that much
-shorter.  A set whose constant is not a positive normal float (all-zero
-rows, or an underflow at extreme feature scales) keeps the full data's L0.
-``ista_bb`` and ``ista_reverse`` keep the full data's L0 on every set: it
-seeds only their first BB step and its clamp, or the top of the reverse
-ladder, so a set's estimate costs more than it saves.
+On a working set (below) the carried variants start a fit's first solve
+from that set's own constant, one estimate per fit.  The full data's bounds
+it and was about twice it on the benchmark's l1 path; a carried L never
+shrinks, so seeded with the full data's every step of the solve would stay
+that much shorter.  Each later solve, on a set grown by the violators, goes
+on from the L the solve before ended on, as within a solve, and the forward
+search grows it if the larger set needs more: a new estimate there cost a
+Lanczos run for a set often grown by one row.  A set whose constant is not a
+positive normal float (all-zero rows, or an underflow at extreme feature
+scales) keeps the full data's L0.  ``ista_bb`` and ``ista_reverse`` keep the
+full data's L0 on every set: it seeds only their first BB step and its
+clamp, or the top of the reverse ladder, so a set's estimate costs more than
+it saves.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -72,10 +76,10 @@ worst violators, until no feature outside the set violates it.  The fit
 converges only when its last solve converged with no violator left, and all
 of its solves share ``max_iters``.  Near a warm start the solution's support
 is small and mostly known, so the products shrink from d rows to |ws|, and
-the step scale of the carried variants from the full data's to the set's.  A
-start with an empty support has none to begin from, and a working set there
-holds FISTA's early iterates above its O(1/k^2) bound; a set as large as the
-data saves nothing.  So every other fit iterates on the full data: cold,
+the step scale of the carried variants from the full data's to the first
+set's.  A start with an empty support has none to begin from, and a
+working set there holds FISTA's early iterates above its O(1/k^2) bound; a
+set as large as the data saves nothing.  So every other fit iterates on the full data: cold,
 zero-vector, random and dense starts, and every fit under a nonconvex
 penalty.  The nonconvex zero-coordinate check would be |g_j| <= lam too, as
 g'(0+) = lam for SCAD, MCP and capped l1, but no benchmark workload has the
@@ -425,7 +429,7 @@ def _set_lipschitz(sub: Dataset, L0: float) -> float:
         L = sub.lipschitz
     except ValueError:
         return L0
-    return L if np.finfo(np.float64).tiny <= L < math.inf else L0
+    return L if L >= np.finfo(np.float64).tiny else L0
 
 
 def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
@@ -525,10 +529,11 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
 
     The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
     ``Dataset`` keeps the estimate, so all fits on one dataset, every point
-    of a path included, estimate the full data at most once.  A working set
-    of ``fista_lip``, ``fista_vanilla`` or ``ista_vanilla`` makes one more
-    estimate, of the set's own constant, for its solve (the rule of the
-    module docstring); a fixed ``opts.l0`` fixes every set's scale too.
+    of a path included, estimate the full data at most once.  A working-set
+    fit of ``fista_lip``, ``fista_vanilla`` or ``ista_vanilla`` makes one
+    more estimate, of its first set's own constant, and carries the scale
+    through its later sets (the rule of the module docstring); a fixed
+    ``opts.l0`` fixes every set's scale too.
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
@@ -546,10 +551,12 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     own_scale = opts.l0 is None and _POLICIES[opts.variant].seed == "carried"
 
     def descend(sub: Dataset, b, z):
+        L_start = L0
         # A set of all d features is the data itself, whose constant is L0.
-        own = own_scale and sub.n_features < data.n_features
-        return _descend(sub, b, z, pen, opts, _set_lipschitz(sub, L0) if own else L0,
-                        holder, trace)
+        if own_scale and sub.n_features < data.n_features:
+            # A grown set goes on from the scale the previous solve ended on.
+            L_start = trace.step_scales[-1] if len(trace) else _set_lipschitz(sub, L0)
+        return _descend(sub, b, z, pen, opts, L_start, holder, trace)
 
     nnz = np.count_nonzero(beta)
     size = max(_WS_MIN, _WS_GROWTH * nnz)

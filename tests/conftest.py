@@ -41,19 +41,14 @@ def small_data() -> Dataset:
 
 @pytest.fixture
 def lipschitz_calls(monkeypatch) -> list:
-    """Record the (d, n) shape of every dataset ``Dataset.lipschitz`` estimates, in order.
-
-    A shape tells the full data from a fit's working sets, which have fewer
-    rows; the working sets are made inside ``fit``, so a test holds no other
-    handle on them.
-    """
+    """Record the dataset of every Lipschitz estimate that ``Dataset.lipschitz`` makes."""
     from proxlogit import data
 
     calls = []
     real = data.lipschitz_constant
 
     def counting(data, *args, **kwargs):
-        calls.append(data.features.shape)
+        calls.append(data)
         return real(data, *args, **kwargs)
 
     monkeypatch.setattr(data, "lipschitz_constant", counting)

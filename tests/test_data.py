@@ -166,35 +166,6 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-2e3, 3.0], [1.0, 1.0]])
         np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
 
-    @pytest.mark.parametrize("text", ["1,0\n-1,2\n \n", "1,0\n\t\r\n-1,2\n"])
-    def test_whitespace_only_line_skips_np_loadtxt(self, tmp_path, monkeypatch, text):
-        def no_loadtxt(*args, **kwargs):
-            raise AssertionError("np.loadtxt ran")
-
-        monkeypatch.setattr(np, "loadtxt", no_loadtxt)
-        ds = load_csv(write(tmp_path / "a.csv", text), label_column=0)
-        np.testing.assert_array_equal(ds.features, [[0.0, 2.0]])
-
-    def test_leading_spaces_keep_the_fast_path(self, tmp_path, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("the line scanner ran")
-
-        monkeypatch.setattr(data_module, "_scan_csv", no_scan)
-        ds = load_csv(write(tmp_path / "a.csv", "  1,0.5\n\t-1, 2\n"), label_column=0)
-        np.testing.assert_array_equal(ds.features, [[0.5, 2.0]])
-
-    @pytest.mark.parametrize("text, blank", [
-        ("1,0\n \n", True), (" \n1,0\n", True), ("1,0\n\t\n2,1\n", True),
-        ("1,0\n  ", True), ("1,0\r\n \t\r\n2,1\r\n", True), ("1,0\n\v\f\n", True),
-        ("  1,0\n\t2,1\n", False), ("1,0\r\n\r\n2,1\r\n", False), ("1,0\n\n", False),
-        ("1, 0 \n 2 ,1 \n", False), ("1,0\n  2,1", False), ("", False)])
-    def test_prescan_sees_blank_lines_across_chunks(self, tmp_path, monkeypatch, text, blank):
-        # every chunk size splits the lines at other places
-        p = write(tmp_path / "a.csv", text)
-        for size in range(1, len(text) + 2):
-            monkeypatch.setattr(data_module, "_CSV_CHUNK_BYTES", size)
-            assert data_module._needs_scanner(p) == blank, size
-
     @pytest.mark.parametrize("text, has_header", [
         ("", False), ("", True), ("\n\n", False), ("a,b,y\n", True)])
     def test_no_rows_raise_and_warn_nothing(self, tmp_path, text, has_header):

@@ -26,11 +26,11 @@ from conftest import assert_same_fit, make_dataset
 FAST = SolverOptions(variant="ista_bb", max_iters=3000, tol=1e-10)
 
 
-def assert_one_full_estimate_then_sets(shapes, data) -> None:
+def assert_one_full_estimate_then_sets(calls, data) -> None:
     """The full data is estimated first and once; every other estimate is a working set's."""
-    d, n = data.features.shape
-    assert shapes[0] == (d, n)
-    assert all(rows < d and cols == n for rows, cols in shapes[1:])
+    assert calls[0] is data
+    assert all(c.n_features < data.n_features and c.n_samples == data.n_samples
+               for c in calls[1:])
 
 
 class TestLambdaMax:
@@ -118,7 +118,7 @@ class TestRunPath:
         run_path(small_data, PathSpec(pen_template=Penalty.mcp(1.0, 3.0), opts=opts))
         assert lipschitz_calls == []
         small_data.lipschitz
-        assert lipschitz_calls == [small_data.features.shape]
+        assert lipschitz_calls == [small_data]
 
     def test_two_paths_share_one_full_data_estimate(self, small_data, lipschitz_calls):
         for variant in ("ista_bb", "fista_lip"):
@@ -252,7 +252,7 @@ class TestCrossValidate:
         data = make_dataset(seed=141, d=8, n=60)
         cross_validate(data, self.spec(fractions=(0.1, 0.3, 0.5)), k=3, seed=4)
         assert len(lipschitz_calls) == 3
-        assert [n for _, n in lipschitz_calls] == [40, 40, 40]
+        assert [d.n_samples for d in lipschitz_calls] == [40, 40, 40]
 
     def test_k_below_two_rejected(self, small_data):
         with pytest.raises(ValueError):

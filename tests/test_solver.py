@@ -564,7 +564,7 @@ class TestFitLipschitz:
         opts = SolverOptions(variant=variant, max_iters=300)
         first = fit(small_data, pen, opts)
         second = fit(small_data, pen, opts)
-        assert lipschitz_calls == [small_data.features.shape]
+        assert lipschitz_calls == [small_data]
         fresh = fit(Dataset(small_data.features, small_data.labels), pen, opts)
         for other in (second, fresh):
             np.testing.assert_array_equal(other.beta, first.beta)
@@ -575,14 +575,14 @@ class TestFitLipschitz:
 
     def test_estimates_once_and_reports_it(self, small_data, lipschitz_calls):
         fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_bb"))
-        assert lipschitz_calls == [small_data.features.shape]
+        assert lipschitz_calls == [small_data]
         assert small_data.lipschitz == lipschitz_constant(small_data)
         assert len(lipschitz_calls) == 1
 
     def test_given_constant_skips_estimate(self, small_data, lipschitz_calls):
         L = small_data.lipschitz
         res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"))
-        assert lipschitz_calls == [small_data.features.shape]
+        assert lipschitz_calls == [small_data]
         assert res.trace.step_scales[0] >= L
 
     def test_fixed_l0_never_estimates(self, small_data, lipschitz_calls):
@@ -609,7 +609,7 @@ class TestFitLipschitz:
         fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
         assert rounds and all(rows < data.n_features for _, rows in rounds)
         # a fixed l0 reads no constant; no working set estimates its own
-        assert lipschitz_calls == ([data.features.shape] if l0 is None else [])
+        assert lipschitz_calls == ([data] if l0 is None else [])
 
     def test_rejects_infinite_l0(self, small_data):
         with pytest.raises(ValueError, match="finite"):
@@ -753,12 +753,13 @@ def record_rounds(monkeypatch) -> list:
 
 
 def record_solves(monkeypatch) -> list:
-    """Patch ``solver._descend`` to record the dataset and the L0 of each solve of a fit."""
+    """Patch ``solver._descend`` to record the dataset, the L0 and the trace
+    length at the start of each solve of a fit."""
     solves = []
     real = solver._descend
 
     def recording(data, beta, z, pen, opts, L0, holder, trace):
-        solves.append((data, L0))
+        solves.append((data, L0, len(trace)))
         return real(data, beta, z, pen, opts, L0, holder, trace)
 
     monkeypatch.setattr(solver, "_descend", recording)
@@ -1000,7 +1001,21 @@ class TestWorkingSet:
         solves = record_solves(monkeypatch)
         opts = SolverOptions(variant="fista_lip", l0=3.0, beta0=beta0)
         fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
-        assert len(solves) > 1 and {L0 for _, L0 in solves} == {3.0}
+        assert len(solves) > 1 and {L0 for _, L0, _ in solves} == {3.0}
+
+    def test_grown_set_carries_the_scale(self, monkeypatch, lipschitz_calls):
+        data = make_dataset(seed=95, d=200, n=60)
+        beta0 = warm_start(data, 0.4, "fista_lip")
+        lipschitz_calls.clear()
+        solves = record_solves(monkeypatch)
+        res = fit(data, Penalty.l1(0.1 * lambda_max(data)),
+                  SolverOptions(variant="fista_lip", beta0=beta0))
+        assert res.converged and len(solves) > 1
+        # only the first set is estimated; each later one starts where the last ended
+        first, L_first, _ = solves[0]
+        assert lipschitz_calls == [first] and L_first == first.lipschitz < data.lipschitz
+        for _, L0, start in solves[1:]:
+            assert start > 0 and L0 == res.trace.step_scales[start - 1]
 
     def test_degenerate_set_keeps_the_full_constant(self, monkeypatch):
         # Rows 0-19 are tiny, so every set of them has a constant below the
@@ -1015,7 +1030,7 @@ class TestWorkingSet:
         solves = record_solves(monkeypatch)
         res = fit(data, Penalty.l1(1.0), SolverOptions(variant="fista_lip", beta0=beta0))
         assert res.converged and np.all(np.isfinite(res.beta))
-        (sub, L0), = solves
+        (sub, L0, _), = solves
         assert sub.n_features == 10 and np.max(np.abs(sub.features)) < 1e-160
         assert L0 == data.lipschitz
 
