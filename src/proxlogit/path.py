@@ -81,11 +81,9 @@ def run_path(data: Dataset, spec: PathSpec) -> list[PathPoint]:
     """Solve at lambda = fraction * lambda_max for every fraction, largest first.
 
     With ``warm_start`` each point starts from the previous solution.  Every
-    point reads ``data.lipschitz``, so the full data is estimated at most once
-    however many paths run on it; a warm l1 point of ``fista_lip``,
-    ``fista_vanilla`` or ``ista_vanilla`` also estimates its first working
-    set (see ``solver``).  Solver failures are re-raised with the
-    offending fraction named.
+    point reads ``data.lipschitz``, so a dataset makes at most one estimate
+    however many paths run on it, and no working set makes one.  Solver
+    failures are re-raised with the offending fraction named.
     """
     lam_top = lambda_max(data)
     points: list[PathPoint] = []
@@ -158,8 +156,9 @@ def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvRe
 
     For each fold the path (including lambda_max) is computed on the training
     complement and accuracy is scored on the held-out fold, so each fold
-    makes its own Lipschitz estimate, once for its whole path.  Folds
-    whose training labels are single-class are recorded as skipped cells.
+    makes its own Lipschitz estimate, of its training data and once for its
+    whole path; nothing else is estimated.  Folds whose training labels are
+    single-class are recorded as skipped cells.
     """
     folds = kfold_split(data.n_samples, k, seed)
     fracs_desc = sorted(spec.fractions, reverse=True)

@@ -4,35 +4,26 @@ Five solver variants share one machinery.  Each is a row of ``_POLICIES``:
 where each iteration's search for the step scale L starts (its seed), which
 search runs, and whether Nesterov momentum extrapolates the anchor.
 
-    variant        seed                             search    momentum
-    ista_bb        Barzilai-Borwein (L0 at first)   forward   no
-    ista_reverse   L0 every iteration               reverse   no
-    fista_lip      carried L                        forward   yes
-    ista_vanilla   carried L                        forward   no
+    variant        seed                             search                  momentum
+    ista_bb        Barzilai-Borwein (L0 at first)   forward                 no
+    ista_reverse   L0 every iteration               reverse                 no
+    fista_lip      L0 at first, then carried L      reverse, then forward   yes
+    ista_vanilla   L0 at first, then carried L      reverse, then forward   no
     fista_vanilla  the fista_lip row
 
 For every variant L0 is the Lipschitz constant of the loss gradient of the
-problem being solved, ``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes
-it, so ``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.
-A forward search grows L from its seed by ``eta`` until the criterion passes,
-so a carried L never shrinks; the reverse search shrinks L from L0 while
-candidates pass and keeps the last passing one.  Momentum does not keep
-descent monotone under the nonconvex penalties, so its variants take the l1
-penalty only.
-
-On a working set (below) the carried variants start a fit's first solve
-from that set's own constant, one estimate per fit.  The full data's bounds
-it and was about twice it on the benchmark's l1 path; a carried L never
-shrinks, so seeded with the full data's every step of the solve would stay
-that much shorter.  Each later solve, on a set grown by the violators, goes
-on from the L the solve before ended on, as within a solve, and the forward
-search grows it if the larger set needs more: a new estimate there cost a
-Lanczos run for a set often grown by one row.  A set whose constant is not a
-positive normal float (all-zero rows, or an underflow at extreme feature
-scales) keeps the full data's L0.  ``ista_bb`` and ``ista_reverse`` keep the
-full data's L0 on every set: it seeds only their first BB step and its
-clamp, or the top of the reverse ladder, so a set's estimate costs more than
-it saves.
+full data, ``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes it, so
+``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.  A
+forward search grows L from its seed by ``eta`` until the criterion passes;
+the reverse search shrinks L from L0 while candidates pass and keeps the last
+passing one.  A carried L takes the reverse search on a fit's first iteration
+and the forward search from the L before it on every later one, so it never
+shrinks from iteration 1 on: FISTA with backtracking keeps its O(1/k^2) bound
+from any first L > 0 under that rule (Beck & Teboulle, 2009).  L0 bounds the
+curvature of every step, so forward searches from it take shorter steps than
+the criterion allows; on the benchmark's l1 path the first ladder ends at a
+quarter to a sixteenth of it.  Momentum does not keep descent monotone under
+the nonconvex penalties, so its variants take the l1 penalty only.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -75,15 +66,16 @@ the features of largest |gradient|, then checks the l1 optimality condition
 worst violators, until no feature outside the set violates it.  The fit
 converges only when its last solve converged with no violator left, and all
 of its solves share ``max_iters``.  Near a warm start the solution's support
-is small and mostly known, so the products shrink from d rows to |ws|, and
-the step scale of the carried variants from the full data's to the first
-set's.  A start with an empty support has none to begin from, and a
-working set there holds FISTA's early iterates above its O(1/k^2) bound; a
-set as large as the data saves nothing.  So every other fit iterates on the full data: cold,
-zero-vector, random and dense starts, and every fit under a nonconvex
-penalty.  The nonconvex zero-coordinate check would be |g_j| <= lam too, as
-g'(0+) = lam for SCAD, MCP and capped l1, but no benchmark workload has the
-wide nonconvex data where a working set would pay.
+is small and mostly known, so the products shrink from d rows to |ws|.  Every
+set reads the full data's L0, which bounds its own, and a carried L goes on
+through the grown sets from where the solve before ended.  A start with an
+empty support has none to begin from, and a working set there holds FISTA's
+early iterates above its O(1/k^2) bound; a set as large as the data saves
+nothing.  So every other fit iterates on the full data: cold, zero-vector,
+random and dense starts, and every fit under a nonconvex penalty.  The
+nonconvex zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam
+for SCAD, MCP and capped l1, but no benchmark workload has the wide
+nonconvex data where a working set would pay.
 
 Each fit passes its own ``logistic.Products`` holder to every product it
 makes, which counts the products and the rows they read by the rule stated
@@ -126,7 +118,8 @@ class _Policy(NamedTuple):
     """One variant: where each iteration's search starts, which search, and momentum."""
 
     seed: str        # "L0" every iteration, "bb" (L0 on the first), or "carried" L
-    reverse: bool    # reverse search from the seed, else forward
+    reverse: bool    # reverse search from the seed, else forward (reverse from L0
+                     # on a carried L's first iteration)
     momentum: bool   # Nesterov extrapolation; l1 only
 
 
@@ -168,8 +161,10 @@ class LineSearchError(RuntimeError):
 class SolverOptions:
     """Configuration for a single fit.
 
-    ``l0`` is the initial step scale; ``None`` derives it from the Lipschitz
-    constant of the loss gradient, a positive number fixes it.  ``beta0`` is
+    ``l0`` is L0, the top of the first ladder: of every ``ista_reverse``
+    iteration and of a carried scale's first, and ``ista_bb``'s first seed
+    and clamp centre.  ``None`` reads the full data's Lipschitz constant of
+    the loss gradient, a positive number fixes it.  ``beta0`` is
     ``"zeros"``, ``"random"`` (normal with variance 1/d, drawn from ``seed``),
     or an explicit finite start vector of length d.  The run stops when the
     relative objective change drops to ``tol`` or after ``max_iters``
@@ -250,7 +245,8 @@ class FitResult:
     excluded, and ``feature_rows`` the number of feature rows they read; both
     are counted by the rule of ``logistic.Products``.  Per iteration a fit
     makes one gradient product and one margin product per evaluated
-    candidate, each row of an ``ista_reverse`` block included; it also makes
+    candidate, each row of a reverse-search block included, so a carried
+    scale's first iteration counts its ladder rows; it also makes
     one for the starting point and one for recomputing ``final_objective`` =
     ``objective(beta)``.  A fit on a working set (the rule of the module
     docstring) makes its iterations' products on the set's rows, plus one
@@ -416,22 +412,6 @@ def _initial_beta(opts: SolverOptions, d: int) -> np.ndarray:
     return beta0
 
 
-def _set_lipschitz(sub: Dataset, L0: float) -> float:
-    """A working set's own ``sub.lipschitz`` when it is a positive normal float, else ``L0``.
-
-    A set of all-zero rows has no positive spectrum, and a set of tiny rows
-    can have a constant below the normal range, which ``lipschitz_constant``
-    warns of or raises for; such a set keeps the full data's ``L0`` quietly.
-    """
-    if not sub.features.any():
-        return L0
-    try:
-        L = sub.lipschitz
-    except ValueError:
-        return L0
-    return L if L >= np.finfo(np.float64).tiny else L0
-
-
 def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0: float,
              holder: Products, trace: Trace):
     """Iterate from ``beta``, whose margins on ``data`` are ``z_beta``, until the stop.
@@ -467,7 +447,9 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
         bb_prev = (anchor, grad)
         trial = functools.partial(_try_candidate, anchor, l_anchor, f_anchor, grad, data, pen,
                                   sufficient_decrease=sufficient, holder=holder)
-        out = (_reverse_search if policy.reverse else _forward_search)(trial, L_seed, opts.eta)
+        # A carried L starts the fit on the reverse ladder from L0, then only grows.
+        reverse = policy.reverse or (policy.seed == "carried" and not len(trace))
+        out = (_reverse_search if reverse else _forward_search)(trial, L_seed, opts.eta)
         L_carry = out.L
         if policy.momentum:
             diff = out.candidate - beta
@@ -529,11 +511,8 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
 
     The fit reads ``data.lipschitz`` for L0 only when ``opts.l0`` is unset.
     ``Dataset`` keeps the estimate, so all fits on one dataset, every point
-    of a path included, estimate the full data at most once.  A working-set
-    fit of ``fista_lip``, ``fista_vanilla`` or ``ista_vanilla`` makes one
-    more estimate, of its first set's own constant, and carries the scale
-    through its later sets (the rule of the module docstring); a fixed
-    ``opts.l0`` fixes every set's scale too.
+    of a path included, make at most one; every working set reads the full
+    data's, and nothing else is estimated.
     """
     start = time.perf_counter()
     opts = opts if opts is not None else SolverOptions()
@@ -548,14 +527,11 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     z_beta = margins(beta, data, holder)
     trace = Trace(loss_from_margins(z_beta, data) + penalty_value(beta, pen), start)
 
-    own_scale = opts.l0 is None and _POLICIES[opts.variant].seed == "carried"
+    carried = _POLICIES[opts.variant].seed == "carried"
 
     def descend(sub: Dataset, b, z):
-        L_start = L0
-        # A set of all d features is the data itself, whose constant is L0.
-        if own_scale and sub.n_features < data.n_features:
-            # A grown set goes on from the scale the previous solve ended on.
-            L_start = trace.step_scales[-1] if len(trace) else _set_lipschitz(sub, L0)
+        # A grown set goes on from the scale the previous solve ended on.
+        L_start = trace.step_scales[-1] if carried and len(trace) else L0
         return _descend(sub, b, z, pen, opts, L_start, holder, trace)
 
     nnz = np.count_nonzero(beta)

@@ -10,6 +10,7 @@ from proxlogit import (
     Penalty,
     SolverOptions,
     SyntheticSpec,
+    VARIANTS,
     accuracy,
     cross_validate,
     fit,
@@ -24,13 +25,6 @@ from proxlogit import (
 from conftest import assert_same_fit, make_dataset
 
 FAST = SolverOptions(variant="ista_bb", max_iters=3000, tol=1e-10)
-
-
-def assert_one_full_estimate_then_sets(calls, data) -> None:
-    """The full data is estimated first and once; every other estimate is a working set's."""
-    assert calls[0] is data
-    assert all(c.n_features < data.n_features and c.n_samples == data.n_samples
-               for c in calls[1:])
 
 
 class TestLambdaMax:
@@ -104,14 +98,13 @@ class TestRunPath:
         points = {p.fraction: p for p in run_path(data, spec)}
         assert points[0.8].result.nnz <= points[0.01].result.nnz
 
-    @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse", "fista_lip"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_one_full_data_estimate_per_path(self, small_data, lipschitz_calls, variant):
+        # no working set is estimated: every fit reads the full data's constant
         spec = PathSpec(pen_template=Penalty.l1(1.0), opts=SolverOptions(variant=variant))
         points = run_path(small_data, spec)
         assert len(points) == len(DEFAULT_FRACTIONS)
-        assert_one_full_estimate_then_sets(lipschitz_calls, small_data)
-        # only a carried step scale starts each working set from the set's own
-        assert (len(lipschitz_calls) > 1) == (variant == "fista_lip")
+        assert lipschitz_calls == [small_data]
 
     def test_fixed_l0_path_never_estimates(self, small_data, lipschitz_calls):
         opts = SolverOptions(variant="ista_vanilla", l0=1.0)
@@ -124,8 +117,7 @@ class TestRunPath:
         for variant in ("ista_bb", "fista_lip"):
             run_path(small_data, PathSpec(pen_template=Penalty.l1(1.0),
                                           opts=SolverOptions(variant=variant)))
-        assert_one_full_estimate_then_sets(lipschitz_calls, small_data)
-        assert len(lipschitz_calls) > 1
+        assert lipschitz_calls == [small_data]
 
     def test_shared_estimate_is_bitwise_equal_to_per_fit_estimates(self, small_data):
         spec = PathSpec(pen_template=Penalty.scad(1.0, 3.7),

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import time
 
@@ -583,7 +584,8 @@ class TestFitLipschitz:
         L = small_data.lipschitz
         res = fit(small_data, Penalty.l1(0.5), SolverOptions(variant="fista_lip"))
         assert lipschitz_calls == [small_data]
-        assert res.trace.step_scales[0] >= L
+        # the first iteration's reverse ladder starts at the kept constant
+        assert res.trace.step_scales[0] == L / 2.0 ** res.trace.backtracks[0]
 
     def test_fixed_l0_never_estimates(self, small_data, lipschitz_calls):
         fit(small_data, Penalty.l1(0.5), SolverOptions(variant="ista_vanilla", l0=1.0))
@@ -641,14 +643,26 @@ class TestMatvecs:
     @pytest.mark.parametrize("variant, kind", [
         (v, k) for v in ("ista_bb", "ista_vanilla", "fista_lip", "fista_vanilla")
         for k in ("l1", "mcp") if k == "l1" or not v.startswith("fista")])
-    def test_forward_variants_count(self, small_data, variant, kind):
+    def test_forward_variants_count(self, small_data, variant, kind, monkeypatch):
+        scales = TestReverseSearch._record_prox_scales(monkeypatch)
         pen = penalty_of(kind, 0.1 * lambda_max(small_data))
         # A step scale far below the Lipschitz constant forces backtracking.
         res = fit(small_data, pen, SolverOptions(variant=variant, l0=0.01, max_iters=300))
-        assert sum(res.trace.backtracks) > 0
-        # the start, a gradient and 1 + b candidates per iteration, and the
-        # recomputation of the returned objective
-        assert res.matvecs == 1 + sum(2 + b for b in res.trace.backtracks) + 1
+        backtracks = res.trace.backtracks
+        assert sum(backtracks) > 0
+        grown = [0.01 * 2.0 ** i for i in range(1, backtracks[0] + 1)]
+        if variant == "ista_bb":
+            first = [0.01] + grown
+        else:
+            # a carried scale's first iteration reads the first block of the
+            # reverse ladder from l0; l0 fails, so the search grows forward
+            first = [0.01 / 2.0 ** i for i in range(solver._BLOCK)] + grown
+        assert scales[:len(first)] == first
+        assert res.trace.step_scales[0] == first[-1]
+        # every later iteration evaluates 1 + b rows; the products are one
+        # per row, the start, a gradient per iteration and the final objective
+        assert len(scales) == len(first) + sum(1 + b for b in backtracks[1:])
+        assert res.matvecs == 1 + res.n_iterations + len(scales) + 1
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_reverse_count(self, small_data, kind, monkeypatch):
@@ -964,7 +978,8 @@ class TestWorkingSet:
         assert np.all(np.isfinite(res.beta))
         assert res.final_objective == objective(res.beta, data, pen)
 
-    # A carried step scale starts each working set from the set's own constant.
+    # Every fit starts from the full data's L0; a carried scale runs down
+    # the reverse ladder from it once, then grows through the later sets.
     FRACTIONS = (0.05, 0.1, 0.2, 0.3, 0.5, 0.8)
 
     def paths(self, variant):
@@ -975,52 +990,78 @@ class TestWorkingSet:
         return data, run_path(data, spec), run_path(data, pinned)
 
     @pytest.mark.parametrize("variant", ["fista_lip", "ista_vanilla"])
-    def test_carried_scale_takes_fewer_iterations(self, variant):
+    def test_full_data_constant_is_the_default_l0(self, variant):
         pytest.importorskip("scipy")
         from oracle_reference import l1_oracle
 
         data, own, pinned = self.paths(variant)
-        assert_same_fit(own[0].result, pinned[0].result)  # the cold first point
-        iterations = [sum(p.result.n_iterations for p in pts) for pts in (own, pinned)]
-        assert iterations[0] < iterations[1]
-        for pt in own:
+        for a, b in zip(own, pinned):
+            assert_same_fit(a.result, b.result)
+        # the cold first point's reverse ladder passes L0 / eta at least
+        trace = own[0].result.trace
+        assert own[0].fraction == max(self.FRACTIONS) and trace.backtracks[0] >= 1
+        assert trace.step_scales[0] == data.lipschitz / 2.0 ** trace.backtracks[0]
+        for pt in own:  # within the bounds of tests/test_oracle.py
             assert pt.result.converged
             f, f_star = pt.result.final_objective, l1_oracle(data.features, data.labels,
                                                              pt.lam)[1]
             assert f_star - 1e-9 * abs(f_star) <= f <= f_star + 1e-5 * abs(f_star)
+
+    # A SHA-256 of the coefficients' bytes and each point's iterations and
+    # matvecs, largest fraction first, as recorded before the carried scale
+    # took its reverse step, with numpy 2.4 and OpenBLAS on a 2-core x86-64
+    # machine; another BLAS build may round differently.
+    SEEDED_FINGERPRINTS = {
+        "ista_bb": ("2622f5beb076f5bf4d3173a792883530c0e49639f9b227b379186266bdcf5116",
+                    [4, 31, 48, 41, 60, 77], [10, 84, 142, 127, 194, 247]),
+        "ista_reverse": ("5204ea82b52018fdabe8f530876f0bb0f4d0d1b686d490eb5451097a7d9a0761",
+                         [10, 28, 52, 51, 124, 160], [72, 202, 399, 403, 1034, 1544]),
+    }
 
     @pytest.mark.parametrize("variant", ["ista_bb", "ista_reverse"])
     def test_seeded_searches_keep_the_full_constant(self, variant):
         _, own, pinned = self.paths(variant)
         for a, b in zip(own, pinned):
             assert_same_fit(a.result, b.result)
+        digest = hashlib.sha256(b"".join(p.result.beta.tobytes() for p in own)).hexdigest()
+        assert (digest, [p.result.n_iterations for p in own],
+                [p.result.matvecs for p in own]) == self.SEEDED_FINGERPRINTS[variant]
 
-    def test_fixed_l0_fixes_every_set(self, monkeypatch):
+    @pytest.mark.parametrize("variant", ["fista_lip", "ista_vanilla"])
+    def test_step_scales_never_fall_across_sets(self, variant, monkeypatch):
         data = make_dataset(seed=95, d=200, n=60)
-        beta0 = warm_start(data, 0.4, "fista_lip")
+        beta0 = warm_start(data, 0.4, variant)
         solves = record_solves(monkeypatch)
-        opts = SolverOptions(variant="fista_lip", l0=3.0, beta0=beta0)
-        fit(data, Penalty.l1(0.1 * lambda_max(data)), opts)
-        assert len(solves) > 1 and {L0 for _, L0, _ in solves} == {3.0}
+        res = fit(data, Penalty.l1(0.05 * lambda_max(data)),
+                  SolverOptions(variant=variant, beta0=beta0))
+        assert res.converged and len(solves) > 2
+        assert np.all(np.diff(res.trace.step_scales) >= 0.0)
 
-    def test_grown_set_carries_the_scale(self, monkeypatch, lipschitz_calls):
+    @pytest.mark.parametrize("l0", [None, 1000.0])
+    def test_grown_set_carries_the_scale(self, monkeypatch, lipschitz_calls, l0):
         data = make_dataset(seed=95, d=200, n=60)
         beta0 = warm_start(data, 0.4, "fista_lip")
         lipschitz_calls.clear()
         solves = record_solves(monkeypatch)
         res = fit(data, Penalty.l1(0.1 * lambda_max(data)),
-                  SolverOptions(variant="fista_lip", beta0=beta0))
+                  SolverOptions(variant="fista_lip", l0=l0, beta0=beta0))
         assert res.converged and len(solves) > 1
-        # only the first set is estimated; each later one starts where the last ended
-        first, L_first, _ = solves[0]
-        assert lipschitz_calls == [first] and L_first == first.lipschitz < data.lipschitz
-        for _, L0, start in solves[1:]:
-            assert start > 0 and L0 == res.trace.step_scales[start - 1]
+        # no set is estimated: L0 tops the first set's ladder, and each later
+        # set starts where the last one ended
+        L0 = data.lipschitz if l0 is None else l0
+        first, L_first, start = solves[0]
+        assert lipschitz_calls == [] and (L_first, start) == (L0, 0)
+        assert first.n_features < data.n_features
+        trace = res.trace
+        assert trace.backtracks[0] >= 1
+        assert trace.step_scales[0] == L0 / 2.0 ** trace.backtracks[0]
+        for _, L_start, start in solves[1:]:
+            assert start > 0 and L_start == trace.step_scales[start - 1]
 
     def test_degenerate_set_keeps_the_full_constant(self, monkeypatch):
-        # Rows 0-19 are tiny, so every set of them has a constant below the
-        # normal range; rows 20-29 are constant, and at the start the labels
-        # give them an exactly zero gradient, so the set holds tiny rows only.
+        # Rows 0-19 are tiny; rows 20-29 are constant, and at the start the
+        # labels give them an exactly zero gradient, so the set holds tiny
+        # rows only.  Its ladder from the full data's L0 runs to the cap.
         rng = np.random.default_rng(97)
         n = 20
         X = np.vstack([1e-170 * rng.standard_normal((20, n)), np.ones((10, n))])
@@ -1033,17 +1074,7 @@ class TestWorkingSet:
         (sub, L0, _), = solves
         assert sub.n_features == 10 and np.max(np.abs(sub.features)) < 1e-160
         assert L0 == data.lipschitz
-
-    def test_set_constant_is_used_only_when_normal(self, monkeypatch):
-        y = np.arange(4) % 2.0
-        zero = Dataset(np.zeros((3, 4)), y)
-        tiny = Dataset(1e-170 * np.ones((3, 4)), y)
-        plain = Dataset(np.ones((3, 4)), y)
-        assert solver._set_lipschitz(zero, 7.0) == 7.0
-        assert solver._set_lipschitz(tiny, 7.0) == 7.0
-        assert solver._set_lipschitz(plain, 7.0) == plain.lipschitz == pytest.approx(3.0)
-        monkeypatch.setattr(data_module, "lipschitz_constant", lambda data: 1e-310)
-        assert solver._set_lipschitz(Dataset(np.ones((3, 4)), y), 7.0) == 7.0
+        assert res.trace.backtracks[0] == solver._MAX_EXPANSIONS - 1
 
 
 class TestFitClock:
