@@ -10,8 +10,8 @@ parser rejects, is an error naming the key or flag.  Artifacts are
 CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
-Exit codes: 0 success/converged, 2 iteration cap hit (by any fit of a path
-or cross-validation), 1 error.
+Exit codes: 0 success/converged, 2 iteration cap hit (by any fit of a path,
+a cross-validation or a benchmark grid), 1 error.
 """
 
 from __future__ import annotations
@@ -237,7 +237,13 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
                 values[f.name] = f.metadata["parse"](text)
             except (CliError, ValueError) as exc:
                 raise CliError(f"{where}: {exc}") from None
-    return RunConfig(**values)
+    cfg = RunConfig(**values)
+    try:  # the penalty's own checks, at a placeholder weight, before any command runs
+        _build_penalty(cfg, 1.0)
+    except ValueError as exc:
+        shape = "epsilon" if cfg.penalty == CAPPED_L1 else "theta"
+        raise CliError(f"{raw[shape][1]}: {exc}") from None
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +419,7 @@ def cmd_cv(cfg: RunConfig) -> int:
 def cmd_bench(cfg: RunConfig) -> int:
     out = _ensure_out(cfg)
     rows = []
+    converged = True
     for ci, (n, d) in enumerate(cfg.grid):
         spec = SyntheticSpec(n_samples=n, n_features=d,
                              n_nonzero=max(1, d // 10), noise_scale=0.0,
@@ -428,13 +435,14 @@ def cmd_bench(cfg: RunConfig) -> int:
                 result = fit(Dataset(data.features, data.labels), pen, opts)
                 times.append(result.seconds)
                 iters.append(result.n_iterations)
+                converged = converged and result.converged
             rows.append((variant, n, d, statistics.median(times),
                          statistics.median(iters)))
     with open(os.path.join(out, "bench.csv"), "w", encoding="utf-8") as fh:
         fh.write("variant,n,d,median_time_s,median_iters\n")
         for variant, n, d, med_t, med_i in rows:
             fh.write(f"{variant},{n},{d},{_fmt(med_t)},{med_i:g}\n")
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_MAXITERS
 
 
 _COMMANDS = {

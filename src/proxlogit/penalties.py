@@ -72,8 +72,11 @@ class Penalty:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown penalty kind {self.kind!r}; expected one of {KINDS}")
-        if not (0 < self.lam < np.inf and np.isfinite(self.theta) and np.isfinite(self.epsilon)):
-            raise ValueError(f"lam must be positive, and every parameter finite; got {self}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        for name in ("theta", "epsilon"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kind == SCAD and not self.theta > 2:
             raise ValueError(f"SCAD requires theta > 2, got {self.theta}")
         if self.kind == MCP and not self.theta > 1:

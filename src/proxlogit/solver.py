@@ -1,29 +1,30 @@
 """Proximal-gradient engine for sparse logistic regression.
 
 Five solver variants share one machinery.  Each is a row of ``_POLICIES``:
-where each iteration's search for the step scale L starts (its seed), which
-search runs, and whether Nesterov momentum extrapolates the anchor.
+the rule that finds the step scale L on a fit's first iteration, the rule of
+every later iteration, and whether Nesterov momentum extrapolates the anchor.
 
-    variant        seed                             search                  momentum
-    ista_bb        Barzilai-Borwein (L0 at first)   forward                 no
-    ista_reverse   L0 every iteration               reverse                 no
-    fista_lip      L0 at first, then carried L      reverse, then forward   yes
-    ista_vanilla   L0 at first, then carried L      reverse, then forward   no
+    variant        first     later     momentum
+    ista_bb        L0        bb        no
+    ista_reverse   reverse   reverse   no
+    fista_lip      reverse   carried   yes
+    ista_vanilla   reverse   carried   no
     fista_vanilla  the fista_lip row
 
 For every variant L0 is the Lipschitz constant of the loss gradient of the
 full data, ``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes it, so
-``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.  A
-forward search grows L from its seed by ``eta`` until the criterion passes;
-the reverse search shrinks L from L0 while candidates pass and keeps the last
-passing one.  A carried L takes the reverse search on a fit's first iteration
-and the forward search from the L before it on every later one, so it never
-shrinks from iteration 1 on: FISTA with backtracking keeps its O(1/k^2) bound
-from any first L > 0 under that rule (Beck & Teboulle, 2009).  L0 bounds the
-curvature of every step, so forward searches from it take shorter steps than
-the criterion allows; on the benchmark's l1 path the first ladder ends at a
-quarter to a sixteenth of it.  Momentum does not keep descent monotone under
-the nonconvex penalties, so its variants take the l1 penalty only.
+``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.  The
+reverse rule shrinks L from L0 by ``eta`` while candidates pass and keeps the
+last passing one.  The other rules grow L by ``eta`` until the criterion
+passes, forward from a seed: L0, the Barzilai-Borwein quotient ("bb", L0
+until the solve has two anchors), or the L the iteration before accepted
+("carried").  A carried L never shrinks from iteration 1 on: FISTA with
+backtracking keeps its O(1/k^2) bound from any first L > 0 under that rule
+(Beck & Teboulle, 2009).  L0 bounds the curvature of every step, so forward
+searches from it take shorter steps than the criterion allows; on the
+benchmark's l1 path the first ladder ends at a quarter to a sixteenth of it.
+Momentum does not keep descent monotone under the nonconvex penalties, so
+its variants take the l1 penalty only.
 
 Two line-search criteria are used.  For the convex l1 penalty a candidate is
 accepted when its objective is at most the quadratic upper model around the
@@ -67,11 +68,11 @@ worst violators, until no feature outside the set violates it.  The fit
 converges only when its last solve converged with no violator left, and all
 of its solves share ``max_iters``.  Near a warm start the solution's support
 is small and mostly known, so the products shrink from d rows to |ws|.  Every
-set reads the full data's L0, which bounds its own, and a carried L goes on
-through the grown sets from where the solve before ended.  A start with an
-empty support has none to begin from, and a working set there holds FISTA's
-early iterates above its O(1/k^2) bound; a set as large as the data saves
-nothing.  So every other fit iterates on the full data: cold, zero-vector,
+set reads the full data's L0, which bounds its own, and the sets' iterations
+are one fit's, so a carried L goes on from where the set before ended.  A
+start with an empty support has none to begin from, and a working set there
+holds FISTA's early iterates above its O(1/k^2) bound; a set as large as the
+data saves nothing.  So every other fit iterates on the full data: cold, zero-vector,
 random and dense starts, and every fit under a nonconvex penalty.  The
 nonconvex zero-coordinate check would be |g_j| <= lam too, as g'(0+) = lam
 for SCAD, MCP and capped l1, but no benchmark workload has the wide
@@ -115,20 +116,24 @@ __all__ = [
 
 
 class _Policy(NamedTuple):
-    """One variant: where each iteration's search starts, which search, and momentum."""
+    """One variant: the search rules of a fit's first and later iterations, and momentum.
 
-    seed: str        # "L0" every iteration, "bb" (L0 on the first), or "carried" L
-    reverse: bool    # reverse search from the seed, else forward (reverse from L0
-                     # on a carried L's first iteration)
+    A rule is "reverse" (the reverse search from L0) or the forward search
+    from "L0", from the "bb" seed (L0 until the solve has two anchors), or
+    from the "carried" L the iteration before accepted.
+    """
+
+    first: str
+    later: str
     momentum: bool   # Nesterov extrapolation; l1 only
 
 
-_FISTA = _Policy("carried", reverse=False, momentum=True)
+_FISTA = _Policy("reverse", "carried", momentum=True)
 _POLICIES = {
-    "ista_bb": _Policy("bb", reverse=False, momentum=False),
-    "ista_reverse": _Policy("L0", reverse=True, momentum=False),
+    "ista_bb": _Policy("L0", "bb", momentum=False),
+    "ista_reverse": _Policy("reverse", "reverse", momentum=False),
     "fista_lip": _FISTA,
-    "ista_vanilla": _Policy("carried", reverse=False, momentum=False),
+    "ista_vanilla": _Policy("reverse", "carried", momentum=False),
     "fista_vanilla": _FISTA,  # the same algorithm under its classic name
 }
 VARIANTS = tuple(_POLICIES)
@@ -341,6 +346,10 @@ def _try_candidate(anchor, l_anchor, f_anchor, grad_anchor, data, pen, L,
     else:
         model = l_anchor + diff @ grad_anchor + 0.5 * L * step_sq + pen_cand
         ok = f_cand <= model
+    # A zero step is a fixed point of the prox-gradient map and meets either
+    # criterion with equality; only rounding of the anchor's loss (a FISTA
+    # anchor's margins come by linearity) could fail it.
+    ok = ok | (step_sq == 0.0)
     return ok, _SearchOutcome(L, cand, z_cand, 0, l_cand, f_cand, step_sq)
 
 
@@ -361,14 +370,16 @@ def _forward_search(trial, L_start, eta, tried: int = 0) -> _SearchOutcome:
         last_L=L / eta)
 
 
-def _reverse_search(trial, L0, eta) -> _SearchOutcome:
+def _reverse_search(trial, L0, eta, convex: bool = False) -> _SearchOutcome:
     """Shrink L from ``L0`` by ``eta`` while ``trial`` passes; keep the last passing scale.
 
     The ladder L0 / eta**i, i < ``_MAX_EXPANSIONS``, is evaluated in blocks
     of ``_BLOCK`` scales.  The search accepts the scale before the first
     failing one, as a scan one scale at a time would, or the last scale when
     none fails; the rows of a block past the first failure are evaluated too.
-    ``trials`` is the index of the accepted scale.
+    ``trials`` is the index of the accepted scale.  Under a ``convex``
+    penalty an anchor fixed at one scale is fixed at every scale, so a block
+    of zero steps ends the ladder at its last row.
     """
     cap = _MAX_EXPANSIONS
     for start in range(0, cap, _BLOCK):
@@ -382,7 +393,7 @@ def _reverse_search(trial, L0, eta) -> _SearchOutcome:
         passed = failed[0] if failed.size else scales.size
         if passed:
             accepted = block.row(passed - 1)._replace(trials=start + passed - 1)
-        if failed.size:
+        if failed.size or (convex and not block.step_sq.any()):
             break
     return accepted
 
@@ -418,7 +429,9 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
 
     Appends every iteration to ``trace`` and stops at the relative-change
     test (converged) or once ``trace`` holds ``opts.max_iters`` iterations.
-    Returns the last iterate, its margins and whether it converged.
+    An iteration takes the policy's first rule while ``trace`` is empty and
+    its later rule after, so a working set's later solves go on from the
+    trace.  Returns the last iterate, its margins and whether it converged.
     """
     policy = _POLICIES[opts.variant]
     sufficient = pen.kind != L1
@@ -427,7 +440,6 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
     converged = False
 
     bb_prev: tuple[np.ndarray, np.ndarray] | None = None  # previous (anchor, gradient)
-    L_carry = L0
     w, z_w = beta, z_beta  # the momentum anchor and its margins
     t_momentum = 1.0
 
@@ -438,19 +450,20 @@ def _descend(data: Dataset, beta, z_beta, pen: Penalty, opts: SolverOptions, L0:
         else:
             anchor, z_anchor, l_anchor, f_anchor = beta, z_beta, l_prev, f_prev
         grad = gradient_from_margins(z_anchor, data, holder)
-        if policy.seed == "carried":
-            L_seed = L_carry
-        elif policy.seed == "bb" and bb_prev is not None:
+        rule = policy.later if len(trace) else policy.first
+        if rule == "carried":
+            L_seed = trace.step_scales[-1]
+        elif rule == "bb" and bb_prev is not None:
             L_seed = _bb_seed(anchor - bb_prev[0], grad - bb_prev[1], L0)
         else:
             L_seed = L0
         bb_prev = (anchor, grad)
         trial = functools.partial(_try_candidate, anchor, l_anchor, f_anchor, grad, data, pen,
                                   sufficient_decrease=sufficient, holder=holder)
-        # A carried L starts the fit on the reverse ladder from L0, then only grows.
-        reverse = policy.reverse or (policy.seed == "carried" and not len(trace))
-        out = (_reverse_search if reverse else _forward_search)(trial, L_seed, opts.eta)
-        L_carry = out.L
+        if rule == "reverse":
+            out = _reverse_search(trial, L_seed, opts.eta, convex=not sufficient)
+        else:
+            out = _forward_search(trial, L_seed, opts.eta)
         if policy.momentum:
             diff = out.candidate - beta
             t_next = _fista_t_next(t_momentum)
@@ -527,13 +540,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     z_beta = margins(beta, data, holder)
     trace = Trace(loss_from_margins(z_beta, data) + penalty_value(beta, pen), start)
 
-    carried = _POLICIES[opts.variant].seed == "carried"
-
-    def descend(sub: Dataset, b, z):
-        # A grown set goes on from the scale the previous solve ended on.
-        L_start = trace.step_scales[-1] if carried and len(trace) else L0
-        return _descend(sub, b, z, pen, opts, L_start, holder, trace)
-
+    descend = functools.partial(_descend, pen=pen, opts=opts, L0=L0, holder=holder, trace=trace)
     nnz = np.count_nonzero(beta)
     size = max(_WS_MIN, _WS_GROWTH * nnz)
     if pen.kind == L1 and nnz and size < data.n_features:

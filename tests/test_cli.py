@@ -284,6 +284,15 @@ class TestIterationCap:
         assert len(read(os.path.join(capped, artifact)).strip().split("\n")) > 1
 
 
+def test_fista_at_its_rounding_floor_exits_0_or_2(tmp_path):
+    # the l1 fit of the FISTA rate criterion's data at 0.02 lambda_max
+    code = main(["train", "--format", "synthetic", "--synthetic-samples", "200",
+                 "--synthetic-features", "50", "--synthetic-nonzero", "5",
+                 "--synthetic-seed", "7", "--lambda-frac", "0.02", "--variant", "fista_lip",
+                 "--tol", "0", "--max-iters", "20000", "--out", str(tmp_path / "run")])
+    assert code in (EXIT_OK, EXIT_MAXITERS)
+
+
 class TestCv:
     ARGS = ["cv", *SYNTH, "--synthetic-samples", "100", "--folds", "5",
             "--fractions", "0.1,0.5", "--max-iters", "2000"]
@@ -357,6 +366,12 @@ class TestBench:
         main([*self.ARGS, "--out", a])
         main([*self.ARGS, "--out", b])
         assert normalized_artifacts(a) == normalized_artifacts(b)
+
+    def test_iteration_cap_exits_2(self, tmp_path):
+        out = str(tmp_path / "run")
+        args = ["bench", "--grid", "50x20", "--reps", "1", "--variants", "fista_lip"]
+        assert main([*args, "--max-iters", "1", "--out", out]) == EXIT_MAXITERS
+        assert len(read(os.path.join(out, "bench.csv")).strip().split("\n")) == 2
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
         code = main(["bench", "--grid", "60by8", "--out", str(tmp_path / "x")])
@@ -626,6 +641,32 @@ class TestOutputCheckedFirst:
         assert err.count("\n") == 1
         assert err.startswith(f"error: output directory {out!r} is not writable")
         assert calls == []
+
+
+class TestPenaltyCheckedFirst:
+    @pytest.mark.parametrize("command", ["train", "path", "cv", "bench"])
+    @pytest.mark.parametrize("args, message", [
+        (["--penalty", "scad", "--theta", "1.5"], "--theta: SCAD requires theta > 2"),
+        (["--penalty", "mcp", "--theta", "nan"], "--theta: theta must be finite"),
+        (["--penalty", "capped_l1", "--epsilon", "-1"],
+         "--epsilon: capped l1 requires epsilon > 0"),
+    ])
+    def test_bad_shape_exits_1_before_out_is_made(self, command, args, message, tmp_path,
+                                                  capsys):
+        data = SYNTH if command != "bench" else []
+        out = tmp_path / "run"
+        assert main([command, *data, *args, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    def test_ini_shape_is_named_by_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text("[penalty]\nkind = mcp\ntheta = 0.5\n")
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), *SYNTH, "--out", str(out)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err == "error: [penalty] theta: MCP requires theta > 1, got 0.5\n"
+        assert not out.exists()
 
 
 class TestConfigValuesAreLiteral:

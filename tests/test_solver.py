@@ -173,6 +173,18 @@ class TestLineSearches:
         assert out.trials == 0
         np.testing.assert_array_equal(out.candidate, anchor)
 
+    @pytest.mark.parametrize("sufficient", [False, True])
+    @pytest.mark.parametrize("L", [1.0, np.array([[1.0], [0.5]])])
+    def test_candidate_equal_to_its_anchor_passes(self, small_data, sufficient, L):
+        # an anchor loss a rounding below the candidate's, as FISTA's
+        # extrapolated margins can give, fails neither criterion at a fixed point
+        pen = Penalty.l1(1.5 * lambda_max(small_data))
+        anchor, l_anchor, f_anchor, grad = anchor_state(np.zeros(small_data.n_features),
+                                                        small_data, pen)
+        ok, out = solver._try_candidate(anchor, l_anchor - 1e-14, f_anchor - 1e-14, grad,
+                                        small_data, pen, L, sufficient_decrease=sufficient)
+        assert np.all(ok) and not out.candidate.any()
+
     def test_sufficient_decrease_accepts_at_double_lipschitz(self, small_data):
         pen = Penalty.scad(0.2, 3.7)
         L_lip = lipschitz_constant(small_data)
@@ -357,19 +369,33 @@ class TestReverseSearch:
         assert near <= 2
 
     @pytest.mark.parametrize("cap", [1, 5, 6, 7, 13])
-    def test_no_scale_past_the_cap(self, small_data, cap, monkeypatch):
-        # above lambda_max the zero anchor is the candidate at every scale
-        # and meets its upper model exactly, so no scale of the ladder fails
+    def test_no_scale_past_the_cap(self, cap, monkeypatch):
+        # on features of order 1e-170 the loss is flat, so each scale's
+        # candidate moves the anchor and meets its upper model: no scale of
+        # the ladder fails, and no block of zero steps ends it
+        data = Dataset(1e-170 * np.random.default_rng(98).standard_normal((8, 20)),
+                       np.arange(20) % 2.0)
+        L0 = 1.0
+        holder = Products()
+        trial = bound_trial(np.ones(8), data, Penalty.l1(1.0), False, holder)
+        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
+        scales = self._record_prox_scales(monkeypatch)
+        out = solver._reverse_search(trial, L0, 2.0, convex=True)
+        assert scales == [L0 / 2.0 ** i for i in range(cap)]
+        assert out.L == L0 / 2.0 ** (cap - 1) and out.step_sq > 0
+        assert out.trials == cap - 1 and holder.products == cap
+
+    @pytest.mark.parametrize("convex, products", [(True, 6), (False, 60)])
+    def test_a_block_of_zero_steps_ends_a_convex_ladder(self, small_data, convex, products):
+        # above lambda_max the zero anchor is the candidate at every scale;
+        # only under the l1 criterion is that a fixed point at every scale
         pen = Penalty.l1(1.5 * lambda_max(small_data))
         L0 = lipschitz_constant(small_data)
         holder = Products()
         trial = bound_trial(np.zeros(small_data.n_features), small_data, pen, False, holder)
-        monkeypatch.setattr(solver, "_MAX_EXPANSIONS", cap)
-        scales = self._record_prox_scales(monkeypatch)
-        out = solver._reverse_search(trial, L0, 2.0)
-        assert scales == [L0 / 2.0 ** i for i in range(cap)]
-        assert out.L == L0 / 2.0 ** (cap - 1)
-        assert out.trials == cap - 1 and holder.products == cap
+        out = solver._reverse_search(trial, L0, 2.0, convex=convex)
+        assert not out.candidate.any() and holder.products == products
+        assert out.trials == products - 1 and out.L == L0 / 2.0 ** (products - 1)
 
     def test_base_failure_is_the_forward_search_from_eta_L0(self, small_data):
         L_lip = lipschitz_constant(small_data)
@@ -411,6 +437,25 @@ class TestFit:
         assert np.all(res.beta == 0.0)
         assert res.converged
         assert res.n_iterations == 1
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_fit_at_lambda_max_stops_its_first_ladder(self, small_data, variant):
+        # the start, one gradient, the first block of the ladder (ista_bb's one
+        # trial) and the final objective
+        res = fit(small_data, Penalty.l1(lambda_max(small_data)), SolverOptions(variant=variant))
+        assert res.converged and res.nnz == 0
+        if variant == "ista_bb":
+            assert (res.matvecs, res.trace.backtracks) == (4, [0])
+        else:
+            assert (res.matvecs, res.trace.backtracks) == (3 + solver._BLOCK, [solver._BLOCK - 1])
+
+    def test_fista_passes_its_rounding_floor(self):
+        # at the floor the candidate is the extrapolated anchor bit for bit,
+        # whose loss by linearity lies a rounding below a fresh product's
+        data, _ = data_module.generate_synthetic(data_module.SyntheticSpec(200, 50, 5, seed=7))
+        pen = Penalty.l1(0.02 * lambda_max(data))
+        res = fit(data, pen, SolverOptions(variant="fista_lip", tol=0.0, max_iters=20_000))
+        assert res.converged and res.final_objective == objective(res.beta, data, pen)
 
     def test_below_lambda_max_is_nonzero(self, small_data):
         res = fit(small_data, Penalty.l1(0.5 * lambda_max(small_data)), SolverOptions())
@@ -1043,6 +1088,14 @@ class TestWorkingSet:
         beta0 = warm_start(data, 0.4, "fista_lip")
         lipschitz_calls.clear()
         solves = record_solves(monkeypatch)
+        seeds = {}  # solve index -> the seed of its first forward search
+        real_forward = solver._forward_search
+
+        def forward(trial, L_start, eta, tried=0):
+            seeds.setdefault(len(solves) - 1, L_start)
+            return real_forward(trial, L_start, eta, tried)
+
+        monkeypatch.setattr(solver, "_forward_search", forward)
         res = fit(data, Penalty.l1(0.1 * lambda_max(data)),
                   SolverOptions(variant="fista_lip", l0=l0, beta0=beta0))
         assert res.converged and len(solves) > 1
@@ -1055,8 +1108,9 @@ class TestWorkingSet:
         trace = res.trace
         assert trace.backtracks[0] >= 1
         assert trace.step_scales[0] == L0 / 2.0 ** trace.backtracks[0]
-        for _, L_start, start in solves[1:]:
-            assert start > 0 and L_start == trace.step_scales[start - 1]
+        for i, (_, L_start, start) in enumerate(solves[1:], 1):
+            assert start > 0 and L_start == L0
+            assert seeds[i] == trace.step_scales[start - 1]
 
     def test_degenerate_set_keeps_the_full_constant(self, monkeypatch):
         # Rows 0-19 are tiny; rows 20-29 are constant, and at the start the
