@@ -28,7 +28,7 @@ import numpy as np
 
 from .data import (DataError, Dataset, SyntheticSpec, _with_intercept, generate_synthetic,
                    load_csv, load_libsvm)
-from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
+from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, kfold_split, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
 from .solver import VARIANTS, SolverOptions, fit
 
@@ -115,8 +115,9 @@ def _choice(options):
     return parse
 
 
-def _parse_variants(text: str) -> tuple[str, ...]:
-    return tuple(_choice(VARIANTS)(v) for v in text.replace(" ", "").split(",") if v)
+_parse_variants = _checked(
+    lambda text: tuple(_choice(VARIANTS)(v) for v in text.replace(" ", "").split(",") if v),
+    lambda vs: vs and len(set(vs)) == len(vs), "a nonempty list of distinct variants")
 
 
 def _field(default, key, flag=None, parse=str, commands=("train", "path", "cv", "bench"),
@@ -296,18 +297,31 @@ def _ensure_out(cfg: RunConfig) -> str:
     return cfg.out_dir
 
 
-def _write_trace_csv(path: str, trace, every: int) -> None:
-    last = len(trace) - 1
+def _set_up(cfg: RunConfig, command: str):
+    """``(data, lambda_max, job, out)`` of ``train``, ``path`` or ``cv``.
+
+    Every check that needs no fit runs before ``--out`` is made: the data,
+    lambda_max, the penalty and, for ``cv``, the fold count.  ``job`` is
+    ``train``'s penalty at ``lambda_frac`` of lambda_max, or the ``PathSpec``
+    of ``path`` and ``cv``, whose template sits at lambda_max.
+    """
+    data = _load_dataset(cfg)
+    lam_top = lambda_max(data)
+    if command == "train":
+        job = dataclasses.replace(_build_penalty(cfg, lam_top), lam=cfg.lambda_frac * lam_top)
+    else:
+        job = PathSpec(pen_template=_build_penalty(cfg, lam_top), opts=_build_options(cfg),
+                       fractions=cfg.fractions, warm_start=cfg.warm_start)
+    if command == "cv":
+        kfold_split(data.n_samples, cfg.folds)
+    return data, lam_top, job, _ensure_out(cfg)
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    """A table: the ``header`` line, then one line per row of cell strings."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for i in range(len(trace)):
-            if i % every and i != last:
-                continue
-            fh.write(",".join([
-                str(i + 1), _fmt(trace.objectives[i]),
-                _fmt(trace.step_scales[i]), str(trace.backtracks[i]),
-                str(trace.nonzeros[i]), _fmt(trace.times[i]),
-            ]) + "\n")
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 def _coefficients_payload(beta: np.ndarray, lam: float, cfg: RunConfig) -> dict:
@@ -332,20 +346,20 @@ def _write_json(path: str, payload: dict) -> None:
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    data = _load_dataset(cfg)
-    out = _ensure_out(cfg)
-    lam_top = lambda_max(data)
-    lam = cfg.lambda_frac * lam_top
-    pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=lam)
+    data, lam_top, pen, out = _set_up(cfg, "train")
     result = fit(data, pen, _build_options(cfg))
 
     _write_json(os.path.join(out, "coefficients.json"),
-                _coefficients_payload(result.beta, lam, cfg))
-    _write_trace_csv(os.path.join(out, "trace.csv"), result.trace, cfg.trace_every)
+                _coefficients_payload(result.beta, pen.lam, cfg))
+    trace, last = result.trace, len(result.trace) - 1
+    _write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, (
+        [str(i + 1), _fmt(trace.objectives[i]), _fmt(trace.step_scales[i]),
+         str(trace.backtracks[i]), str(trace.nonzeros[i]), _fmt(trace.times[i])]
+        for i in range(len(trace)) if i % cfg.trace_every == 0 or i == last))
     _write_json(os.path.join(out, "summary.json"), {
         "variant": cfg.variant,
         "penalty": cfg.penalty,
-        "lambda": lam,
+        "lambda": pen.lam,
         "lambda_frac": cfg.lambda_frac,
         "lambda_max": lam_top,
         "converged": result.converged,
@@ -361,23 +375,14 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_path(cfg: RunConfig) -> int:
-    data = _load_dataset(cfg)
-    out = _ensure_out(cfg)
-    lam_top = lambda_max(data)
-    template = _build_penalty(cfg, lam_top)
-    spec = PathSpec(pen_template=template, opts=_build_options(cfg),
-                    fractions=cfg.fractions, warm_start=cfg.warm_start)
+    data, _, spec, out = _set_up(cfg, "path")
     points = run_path(data, spec)
 
-    with open(os.path.join(out, "path.csv"), "w", encoding="utf-8") as fh:
-        fh.write("fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows\n")
-        for pt in points:
-            res = pt.result
-            fh.write(",".join([
-                format(pt.fraction, "g"), _fmt(pt.lam), _fmt(res.final_objective),
-                str(res.n_iterations), str(res.nnz), _fmt(res.seconds),
-                str(res.matvecs), str(res.feature_rows),
-            ]) + "\n")
+    _write_csv(os.path.join(out, "path.csv"),
+               "fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows", (
+        [format(pt.fraction, "g"), _fmt(pt.lam), _fmt(pt.result.final_objective),
+         str(pt.result.n_iterations), str(pt.result.nnz), _fmt(pt.result.seconds),
+         str(pt.result.matvecs), str(pt.result.feature_rows)] for pt in points))
     for pt in points:
         payload = _coefficients_payload(pt.result.beta, pt.lam, cfg)
         _write_json(os.path.join(out, f"coefficients_{pt.fraction:g}.json"), payload)
@@ -385,48 +390,34 @@ def cmd_path(cfg: RunConfig) -> int:
 
 
 def cmd_cv(cfg: RunConfig) -> int:
-    data = _load_dataset(cfg)
-    out = _ensure_out(cfg)
-    template = _build_penalty(cfg, lambda_max(data))
-    spec = PathSpec(pen_template=template, opts=_build_options(cfg),
-                    fractions=cfg.fractions, warm_start=cfg.warm_start)
+    data, _, spec, out = _set_up(cfg, "cv")
     report = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
 
-    by_key = {(c.fraction, c.fold): c for c in report.cells}
-    fracs_desc = sorted(spec.fractions, reverse=True)
-    with open(os.path.join(out, "cv.csv"), "w", encoding="utf-8") as fh:
-        fh.write("fraction,fold,accuracy,nnz,iterations,reason\n")
-        for frac in fracs_desc:
-            for fold in range(cfg.folds):
-                c = by_key[(frac, fold)]
-                fh.write(",".join([
-                    format(frac, "g"), str(fold),
-                    "" if c.accuracy is None else _fmt(c.accuracy),
-                    "" if c.nnz is None else str(c.nnz),
-                    "" if c.iterations is None else str(c.iterations),
-                    c.reason or "",
-                ]) + "\n")
+    _write_csv(os.path.join(out, "cv.csv"), "fraction,fold,accuracy,nnz,iterations,reason", (
+        [format(c.fraction, "g"), str(c.fold), "" if c.accuracy is None else _fmt(c.accuracy),
+         "" if c.nnz is None else str(c.nnz), "" if c.iterations is None else str(c.iterations),
+         c.reason or ""]
+        for c in sorted(report.cells, key=lambda c: (-c.fraction, c.fold))))
     means = report.mean_accuracy()
-    with open(os.path.join(out, "cv_means.csv"), "w", encoding="utf-8") as fh:
-        fh.write("fraction,mean_accuracy,folds_used\n")
-        for frac in fracs_desc:
-            used = sum(1 for c in report.cells if c.fraction == frac and c.accuracy is not None)
-            mean = "" if frac not in means else _fmt(means[frac])
-            fh.write(f"{frac:g},{mean},{used}\n")
+    _write_csv(os.path.join(out, "cv_means.csv"), "fraction,mean_accuracy,folds_used", (
+        [format(frac, "g"), "" if frac not in means else _fmt(means[frac]),
+         str(sum(c.fraction == frac and c.accuracy is not None for c in report.cells))]
+        for frac in sorted(spec.fractions, reverse=True)))
     return EXIT_MAXITERS if any(c.converged is False for c in report.cells) else EXIT_OK
 
 
 def cmd_bench(cfg: RunConfig) -> int:
+    cells = []  # every cell's data and penalty, checked before --out is made
+    for ci, (n, d) in enumerate(cfg.grid):
+        data, _ = generate_synthetic(SyntheticSpec(n_samples=n, n_features=d,
+                                                   n_nonzero=max(1, d // 10), seed=cfg.seed + ci))
+        lam_top = lambda_max(data)
+        cells.append((data, dataclasses.replace(_build_penalty(cfg, lam_top),
+                                                lam=cfg.lambda_frac * lam_top)))
     out = _ensure_out(cfg)
     rows = []
     converged = True
-    for ci, (n, d) in enumerate(cfg.grid):
-        spec = SyntheticSpec(n_samples=n, n_features=d,
-                             n_nonzero=max(1, d // 10), noise_scale=0.0,
-                             seed=cfg.seed + ci)
-        data, _ = generate_synthetic(spec)
-        lam_top = lambda_max(data)
-        pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=cfg.lambda_frac * lam_top)
+    for data, pen in cells:
         for variant in cfg.bench_variants:
             opts = _build_options(cfg, variant=variant)
             times, iters = [], []
@@ -436,12 +427,9 @@ def cmd_bench(cfg: RunConfig) -> int:
                 times.append(result.seconds)
                 iters.append(result.n_iterations)
                 converged = converged and result.converged
-            rows.append((variant, n, d, statistics.median(times),
-                         statistics.median(iters)))
-    with open(os.path.join(out, "bench.csv"), "w", encoding="utf-8") as fh:
-        fh.write("variant,n,d,median_time_s,median_iters\n")
-        for variant, n, d, med_t, med_i in rows:
-            fh.write(f"{variant},{n},{d},{_fmt(med_t)},{med_i:g}\n")
+            rows.append([variant, str(data.n_samples), str(data.n_features),
+                         _fmt(statistics.median(times)), format(statistics.median(iters), "g")])
+    _write_csv(os.path.join(out, "bench.csv"), "variant,n,d,median_time_s,median_iters", rows)
     return EXIT_OK if converged else EXIT_MAXITERS
 
 

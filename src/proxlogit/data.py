@@ -116,26 +116,10 @@ def _with_intercept(X: np.ndarray) -> np.ndarray:
 # path of load_csv parses in C and holds no Python floats.
 _CSV_BLOCK_ROWS = 128
 
-# The ASCII file, group, record and unit separators.  np.loadtxt strips them
-# from the ends of a cell, as str.isspace() holds for them, but float() does
-# not: the scanner rejects the cell "1\x1c", which np.loadtxt reads as 1.0.  A
-# file that holds one goes to the scanner.
-_CSV_SEPARATOR_BYTES = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-def _has_separator_bytes(path) -> bool:
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if any(sep in chunk for sep in _CSV_SEPARATOR_BYTES):
-                return True
-    return False
-
 
 def _loadtxt_table(path, label_column: int, has_header: bool):
     """``(X, y)`` of a file ``np.loadtxt`` reads as the scanner would, else None."""
     try:
-        if _has_separator_bytes(path):
-            return None
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
@@ -160,9 +144,10 @@ def load_csv(path, label_column: int, has_header: bool = False,
     penalized like any other feature.
 
     A well-formed file (every cell a number ``np.loadtxt`` reads, no
-    whitespace-only line, no byte 0x1C-0x1F, labels in {0, 1} or {-1, +1}) is
-    parsed in C by one ``np.loadtxt`` call.  Any other file goes to the line scanner, which
-    accepts what ``float()`` accepts (``1_000``, full-width digits), skips
+    whitespace-only line, labels in {0, 1} or {-1, +1}) is parsed in C by one
+    ``np.loadtxt`` call.  Any other file goes to the line scanner, which
+    strips each cell's ends as ``np.loadtxt`` does (``str.strip()``), accepts
+    what ``float()`` accepts (``1_000``, full-width digits), skips
     whitespace-only lines and names the first faulty line and cell in a
     ``DataError``.  Both paths give bit-identical arrays, and a file the
     scanner rejects raises the scanner's error.  During the ``np.loadtxt``
@@ -192,7 +177,7 @@ def _scan_csv(path, label_column: int, has_header: bool, add_intercept: bool) ->
             line = line.strip()
             if not line:
                 continue
-            cells = line.split(",")
+            cells = [cell.strip() for cell in line.split(",")]
             if expected is None:
                 expected = len(cells)
                 if not 0 <= label_column < expected:
@@ -210,7 +195,7 @@ def _scan_csv(path, label_column: int, has_header: bool, add_intercept: bool) ->
                         float(cell)
                     except ValueError:
                         raise DataError(f"line {lineno}, column {col + 1}: "
-                                        f"non-numeric cell {cell.strip()!r}") from None
+                                        f"non-numeric cell {cell!r}") from None
                 raise
             labels.append(_canonical_label(values.pop(label_column),
                                            f"line {lineno}, column {label_column + 1}"))

@@ -5,7 +5,7 @@ the rule that finds the step scale L on a fit's first iteration, the rule of
 every later iteration, and whether Nesterov momentum extrapolates the anchor.
 
     variant        first     later     momentum
-    ista_bb        L0        bb        no
+    ista_bb        bb        bb        no
     ista_reverse   reverse   reverse   no
     fista_lip      reverse   carried   yes
     ista_vanilla   reverse   carried   no
@@ -16,8 +16,8 @@ full data, ``Dataset.lipschitz``, unless ``SolverOptions.l0`` fixes it, so
 ``fista_lip`` and ``fista_vanilla`` are one algorithm under two names.  The
 reverse rule shrinks L from L0 by ``eta`` while candidates pass and keeps the
 last passing one.  The other rules grow L by ``eta`` until the criterion
-passes, forward from a seed: L0, the Barzilai-Borwein quotient ("bb", L0
-until the solve has two anchors), or the L the iteration before accepted
+passes, forward from a seed: the Barzilai-Borwein quotient ("bb", L0
+until the solve has two anchors) or the L the iteration before accepted
 ("carried").  A carried L never shrinks from iteration 1 on: FISTA with
 backtracking keeps its O(1/k^2) bound from any first L > 0 under that rule
 (Beck & Teboulle, 2009).  L0 bounds the curvature of every step, so forward
@@ -119,8 +119,8 @@ class _Policy(NamedTuple):
     """One variant: the search rules of a fit's first and later iterations, and momentum.
 
     A rule is "reverse" (the reverse search from L0) or the forward search
-    from "L0", from the "bb" seed (L0 until the solve has two anchors), or
-    from the "carried" L the iteration before accepted.
+    from the "bb" seed (L0 until the solve has two anchors) or from the
+    "carried" L the iteration before accepted.
     """
 
     first: str
@@ -130,7 +130,7 @@ class _Policy(NamedTuple):
 
 _FISTA = _Policy("reverse", "carried", momentum=True)
 _POLICIES = {
-    "ista_bb": _Policy("L0", "bb", momentum=False),
+    "ista_bb": _Policy("bb", "bb", momentum=False),
     "ista_reverse": _Policy("reverse", "reverse", momentum=False),
     "fista_lip": _FISTA,
     "ista_vanilla": _Policy("reverse", "carried", momentum=False),

@@ -116,11 +116,14 @@ class TestTrain:
         (["--data", "no/such.csv"], "dataset file not found: no/such.csv"),
         (["--format", "libsvm", "--data", "no/such.svm"], "dataset file not found: no/such.svm"),
         (["--data", "bad.csv"], "line 2, column 1: non-numeric cell 'x'"),
+        (["--data", "zero.csv", "--label-column", "1"],  # its gradient at the origin is zero
+         "gradient at the origin is zero; lambda_max is undefined"),
     ])
     def test_bad_data_exits_1_before_out_is_made(self, command, argv, message, tmp_path,
                                                  capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "bad.csv").write_text("1,0\nx,1\n")
+        (tmp_path / "zero.csv").write_text("1,0\n1,1\n")
         assert main([command, *argv, "--out", "run"]) == EXIT_ERROR
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "run").exists()
@@ -544,6 +547,8 @@ class TestConfigTable:
         ("", ["--config", "no/such/config.ini"], "config file not found: no/such/config.ini"),
         ("[path]\nfractions = 0.5,0.5\n", [], "[path] fractions: expected a nonempty list"),
         ("[bench]\ngrid = 60x0\n", [], "[bench] grid: bad grid cell '60x0'"),
+        ("[bench]\nvariants = ista_bb, fista_lip, ista_bb\n", [],
+         "[bench] variants: expected a nonempty list of distinct variants"),
     ])
     def test_bad_setting_exits_1_naming_it(self, ini, argv, named, tmp_path, capsys):
         cfg = tmp_path / "c.ini"
@@ -566,6 +571,9 @@ class TestConfigTable:
         (["cv", *SYNTH, "--fractions", ","], "--fractions: expected a nonempty list"),
         (["bench", "--grid", "0x10"], "--grid: bad grid cell '0x10'"),
         (["bench", "--grid", ","], "--grid: empty benchmark grid"),
+        (["bench", "--variants", ","], "--variants: expected a nonempty list of distinct variants"),
+        (["bench", "--variants", "ista_bb,ista_bb"],
+         "--variants: expected a nonempty list of distinct variants, got 'ista_bb,ista_bb'"),
         (["train", *SYNTH, "--eta", "1"], "--eta: expected a finite number > 1, got '1'"),
         (["path", *SYNTH, "--eta", "0.5"], "--eta: expected a finite number > 1"),
         (["cv", *SYNTH, "--tol", "-0.5"], "--tol: expected a finite number >= 0"),
@@ -666,6 +674,21 @@ class TestPenaltyCheckedFirst:
         assert main(["train", "--config", str(cfg), *SYNTH, "--out", str(out)]) == EXIT_ERROR
         err = capsys.readouterr().err
         assert err == "error: [penalty] theta: MCP requires theta > 1, got 0.5\n"
+        assert not out.exists()
+
+
+class TestSetUpCheckedFirst:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", *SYNTH, "--lambda-frac", "1e308"], "lam must be positive and finite, got inf"),
+        (["bench", "--grid", "20x5", "--lambda-frac", "1e308"],
+         "lam must be positive and finite, got inf"),
+        (["cv", *SYNTH, "--folds", "81"], "k must lie in [2, 80], got 81"),
+    ], ids=["train", "bench", "cv"])
+    def test_fault_found_before_a_fit_exits_1_before_out_is_made(self, argv, message, tmp_path,
+                                                                 capsys):
+        out = tmp_path / "run"
+        assert main([*argv, "--out", str(out)]) == EXIT_ERROR
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
 

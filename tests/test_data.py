@@ -117,8 +117,6 @@ class TestLoadCsv:
         ("1,2,1\n1,x,1\n3,0\n", 2, "line 2, column 2: non-numeric cell 'x'"),
         ("1,2,1\n3,0\n1,x,1\n", 2, "row at line 2: expected 3 cells, got 2"),
         ("2,1\n", 0, "line 1, column 1: label 2.0 not in"),
-        # np.loadtxt would strip the separator byte and read 1.0
-        ("1\x1c,0\n", 1, "line 1, column 1: non-numeric cell '1'"),
     ])
     def test_first_fault_reported(self, tmp_path, text, label_column, message):
         p = write(tmp_path / "a.csv", text)
@@ -155,6 +153,14 @@ class TestLoadCsv:
         assert len(scanned) == 1
         np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
         np.testing.assert_array_equal(ds.labels, table[:, 1])
+
+    @pytest.mark.parametrize("load", [load_csv, data_module._scan_csv])
+    def test_separator_bytes_are_stripped_from_a_cell(self, tmp_path, load):
+        # bytes 0x1C-0x1F are whitespace to str.strip(), as to np.loadtxt
+        p = write(tmp_path / "a.csv", "1\x1c,0\n")
+        ds = load(p, 1, False, False)
+        np.testing.assert_array_equal(ds.features, [[1.0]])
+        np.testing.assert_array_equal(ds.labels, [0.0])
 
     def test_well_formed_file_skips_the_scanner(self, tmp_path, monkeypatch):
         def no_scan(*args):

@@ -1,6 +1,13 @@
+import ast
 import dataclasses
+import importlib
+import importlib.util
 import inspect
+import os
+import sys
 import types
+
+import pytest
 
 import proxlogit
 from proxlogit import data, solver
@@ -52,3 +59,39 @@ def test_fit_takes_only_data_penalty_and_options():
 def test_fit_result_fields_are_pinned():
     assert [f.name for f in dataclasses.fields(solver.FitResult)] == [
         "beta", "converged", "trace", "final_objective", "matvecs", "feature_rows", "seconds"]
+
+
+BENCHMARK_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "benchmark")
+
+
+def load_benchmark_module(name):
+    """``benchmark/<name>.py``, loaded by path under a private module name."""
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{name}",
+                                                  os.path.join(BENCHMARK_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up while it runs
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def test_benchmark_targets_resolve():
+    # the benchmark wraps these names; a rename must fail here, not in a benchmark run
+    for _, module, attr, _ in load_benchmark_module("instrument").TARGETS:
+        assert callable(getattr(importlib.import_module(f"proxlogit.{module}"), attr))
+
+
+@pytest.mark.parametrize("name", ["quality", "workloads"])
+def test_benchmark_modules_import_and_find_their_names(name):
+    # every ``module.attr`` the file reads off a proxlogit module exists
+    module = load_benchmark_module(name)
+    with open(module.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            owner = getattr(module, node.value.id, None)
+            if isinstance(owner, types.ModuleType) and owner.__name__.startswith("proxlogit"):
+                assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr}"
