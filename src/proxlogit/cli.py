@@ -324,12 +324,14 @@ def _write_csv(path: str, header: str, rows) -> None:
         fh.writelines(",".join(row) + "\n" for row in rows)
 
 
-def _coefficients_payload(beta: np.ndarray, lam: float, cfg: RunConfig) -> dict:
+def _coefficients_payload(beta: np.ndarray, lam: float, pen: Penalty, cfg: RunConfig) -> dict:
+    """``pen`` is the penalty the fit used, at any lambda; a shape it lacks is null."""
     nz = {str(i): float(beta[i]) for i in np.flatnonzero(beta)}
     return {
         "d": int(beta.shape[0]),
         "lambda": lam,
-        "penalty": {"kind": cfg.penalty, "theta": cfg.theta, "epsilon": cfg.epsilon},
+        "penalty": {"kind": pen.kind, "theta": pen.theta if pen.kind in (SCAD, MCP) else None,
+                    "epsilon": pen.epsilon if pen.kind == CAPPED_L1 else None},
         "variant": cfg.variant,
         "nonzeros": nz,
     }
@@ -350,7 +352,7 @@ def cmd_train(cfg: RunConfig) -> int:
     result = fit(data, pen, _build_options(cfg))
 
     _write_json(os.path.join(out, "coefficients.json"),
-                _coefficients_payload(result.beta, pen.lam, cfg))
+                _coefficients_payload(result.beta, pen.lam, pen, cfg))
     trace, last = result.trace, len(result.trace) - 1
     _write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, (
         [str(i + 1), _fmt(trace.objectives[i]), _fmt(trace.step_scales[i]),
@@ -384,7 +386,7 @@ def cmd_path(cfg: RunConfig) -> int:
          str(pt.result.n_iterations), str(pt.result.nnz), _fmt(pt.result.seconds),
          str(pt.result.matvecs), str(pt.result.feature_rows)] for pt in points))
     for pt in points:
-        payload = _coefficients_payload(pt.result.beta, pt.lam, cfg)
+        payload = _coefficients_payload(pt.result.beta, pt.lam, spec.pen_template, cfg)
         _write_json(os.path.join(out, f"coefficients_{pt.fraction:g}.json"), payload)
     return EXIT_OK if all(pt.result.converged for pt in points) else EXIT_MAXITERS
 
@@ -473,13 +475,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _missing_dirs(path: str) -> list[str]:
+    """The directories ``os.makedirs(path)`` would make, innermost first.
+
+    ``path`` is not normalized, so ``a/b/../c`` also lists ``a/b``, as
+    ``os.makedirs`` makes it.
+    """
+    missing = []
+    while path and not os.path.lexists(path):
+        missing.append(path)
+        path = os.path.dirname(path)
+    return missing
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; on an error, remove the empty directories it made for ``--out``."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    made = []
     try:
         cfg = _build_config(args)
+        made = _missing_dirs(cfg.out_dir)
         return _COMMANDS[args.command][0](cfg)
     except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
+        for path in made:  # os.rmdir removes only an empty directory
+            try:
+                os.rmdir(path)
+            except OSError:  # not made, written into, or a ".." step
+                pass
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

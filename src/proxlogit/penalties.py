@@ -5,18 +5,19 @@ Each provides a value g(beta) = sum_i g(beta_i) and the proximal map
 
     prox(t) = argmin_w  (L/2) (w - t)^2 + g(w).
 
-The l1 prox is the soft-threshold.  The nonconvex penalties have closed
-forms too (Breheny & Huang, AoAS 2011; Gong et al., ICML 2013).  g is
-piecewise quadratic, and the prox objective is convex when L exceeds the
-penalty's concavity, 1/theta for MCP and 1/(theta - 1) for SCAD: the prox is
-then the firm threshold (MCP) or the three-region SCAD threshold.  Below that
-scale, and always for capped l1, the minimizer is one of two candidates: the
-best point of the convex inner region (0, or the soft value clipped to the
-region) and the best point of the flat outer region, max(t, boundary).  The
-candidate of smaller prox objective wins; a tie goes to the smaller
-magnitude.  Every formula repeats the arithmetic of an exhaustive enumeration
-of branch stationary points and region boundaries, so the result equals it
-bitwise away from region boundaries.
+Every map is one clamp expression per penalty (Breheny & Huang, AoAS 2011;
+Gong et al., ICML 2013).  With m = min(|b|, theta lam), MCP is
+m (lam - m / (2 theta)) and SCAD is lam m - c^2 / (2 (theta - 1)) with
+c = max(m - lam, 0).  The l1 prox is soft = max(t - lam / L, 0).  For MCP
+and SCAD, when L exceeds the concavity, 1/theta or 1/(theta - 1), the prox
+objective is convex and the prox is the stationary point of g's quadratic
+region clipped to [soft, t]: for MCP the firm threshold.  Otherwise, and
+always for capped l1, the prox is the candidate min(soft, inner) or
+max(t, outer) of smaller prox objective, a tie going to the smaller, with
+(inner, outer) = (0, theta lam) for MCP, (lam, theta lam) for SCAD and
+(epsilon, epsilon) for capped l1.  The arithmetic repeats that of an
+exhaustive enumeration of branch stationary points and region boundaries,
+so the result equals it bitwise away from region boundaries.
 
 Both maps also take a leading block axis: ``prox_vector(U, pen, Ls)`` with U
 of shape (K, d) and a (K, 1) column of scales Ls, and ``penalty_value(B,
@@ -109,18 +110,10 @@ def _g_abs(a: np.ndarray, pen: Penalty) -> np.ndarray:
     if pen.kind == CAPPED_L1:
         return lam * np.minimum(a, pen.epsilon)
     th = pen.theta
-    if pen.kind == SCAD:
-        return np.where(
-            a <= lam,
-            lam * a,
-            np.where(
-                a <= th * lam,
-                (-(a ** 2) + 2.0 * th * lam * a - lam ** 2) / (2.0 * (th - 1.0)),
-                (th + 1.0) * lam ** 2 / 2.0,
-            ),
-        )
-    # MCP
-    return np.where(a <= th * lam, lam * a - a ** 2 / (2.0 * th), th * lam ** 2 / 2.0)
+    m = np.minimum(a, th * lam)  # g is flat beyond theta lam
+    if pen.kind == MCP:
+        return m * (lam - m / (2.0 * th))
+    return lam * m - np.maximum(m - lam, 0.0) ** 2 / (2.0 * (th - 1.0))
 
 
 def penalty_value(beta, pen: Penalty) -> float | np.ndarray:
@@ -179,41 +172,36 @@ def _by_regime(convex, t: np.ndarray, L, convex_map, concave_map) -> np.ndarray:
 
 
 def _prox_magnitudes(t: np.ndarray, pen: Penalty, L) -> np.ndarray:
-    """Prox of nonnegative magnitudes t; the result is also nonnegative."""
-    lam = pen.lam
+    """Prox of nonnegative magnitudes t; the result is also nonnegative.
+
+    In the convex regime the stationary point is below soft exactly where
+    soft is the minimizer, and above t exactly when t > theta lam.
+    """
+    lam, th = pen.lam, pen.theta
     if pen.kind == L1:
         return np.maximum(t - lam / L, 0.0)
-    if pen.kind == CAPPED_L1:
-        eps = pen.epsilon
-        return _pick(np.minimum(np.maximum(t - lam / L, 0.0), eps), np.maximum(t, eps),
-                     t, pen, L)
-    th = pen.theta
     if pen.kind == MCP:
-        def firm(t, L):
-            # The stationary point exceeds t exactly when t > theta lam, so
-            # clipping it to [0, t] also keeps t there.
-            return np.minimum(np.maximum((L * t - lam) / (L - 1.0 / th), 0.0), t)
+        inner, outer, convex = 0.0, th * lam, L - 1.0 / th > _DEGENERATE
 
-        def concave(t, L):
-            return _pick(np.zeros_like(t), np.maximum(t, th * lam), t, pen, L)
+        def stationary(t, L):
+            return (L * t - lam) / (L - 1.0 / th)
+    elif pen.kind == SCAD:
+        inner, outer, convex = lam, th * lam, L * (th - 1.0) - 1.0 > _DEGENERATE
 
-        return _by_regime(L - 1.0 / th > _DEGENERATE, t, L, firm, concave)
+        def stationary(t, L):
+            return (L * (th - 1.0) * t - th * lam) / (L * (th - 1.0) - 1.0)
+    else:
+        inner = outer = pen.epsilon
+        convex = False  # the cap makes the prox objective nonconvex at every L
 
-    # SCAD
-    def soft(t, L):
-        return np.minimum(np.maximum(t - lam / L, 0.0), lam)
+    def clipped(t, L):
+        return np.minimum(np.maximum(stationary(t, L), np.maximum(t - lam / L, 0.0)), t)
 
-    def three_region(t, L):
-        # As for MCP, the middle stationary point clipped to [lam, t] is
-        # also t beyond theta lam.
-        mid = np.minimum(np.maximum((L * (th - 1.0) * t - th * lam)
-                                    / (L * (th - 1.0) - 1.0), lam), t)
-        return np.where(t <= lam + lam / L, soft(t, L), mid)
+    def better_candidate(t, L):
+        return _pick(np.minimum(np.maximum(t - lam / L, 0.0), inner), np.maximum(t, outer),
+                     t, pen, L)
 
-    def concave(t, L):
-        return _pick(soft(t, L), np.maximum(t, th * lam), t, pen, L)
-
-    return _by_regime(L * (th - 1.0) - 1.0 > _DEGENERATE, t, L, three_region, concave)
+    return _by_regime(convex, t, L, clipped, better_candidate)
 
 
 def prox_vector(u, pen: Penalty, L) -> np.ndarray:

@@ -12,6 +12,9 @@ from proxlogit.cli import EXIT_ERROR, EXIT_MAXITERS, EXIT_OK, TRACE_HEADER, main
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BUNDLED_CONFIG = os.path.join(REPO_ROOT, "configs", "synthetic_train.ini")
 
+# Features of order 1e200: the fit's Lipschitz estimate is not representable.
+HUGE_CSV = "1e200,-2e200,1\n-3e200,1e200,0\n2e200,2e200,1\n"
+
 SYNTH = ["--format", "synthetic", "--synthetic-samples", "80",
          "--synthetic-features", "15", "--synthetic-nonzero", "3",
          "--synthetic-seed", "3"]
@@ -141,12 +144,23 @@ class TestTrain:
 
     def test_huge_features_exit_1_naming_scale(self, tmp_path, capsys):
         data_file = tmp_path / "huge.csv"
-        data_file.write_text("1e200,-2e200,1\n-3e200,1e200,0\n2e200,2e200,1\n")
+        data_file.write_text(HUGE_CSV)
         code = main(["train", "--format", "csv", "--data", str(data_file),
                      "--label-column", "2", "--out", str(tmp_path / "run")])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "feature scale" in err
+        # the fit finds the fault after --out is made; the empty directory goes
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("out", ["kept", "kept/new/run", "kept/new/sub/../run"])
+    def test_fault_found_by_the_fit_keeps_what_existed(self, out, tmp_path):
+        (tmp_path / "huge.csv").write_text(HUGE_CSV)
+        (tmp_path / "kept").mkdir()
+        (tmp_path / "kept" / "notes.txt").write_text("kept\n")
+        assert main(["train", "--format", "csv", "--data", str(tmp_path / "huge.csv"),
+                     "--label-column", "2", "--out", str(tmp_path / out)]) == EXIT_ERROR
+        assert os.listdir(tmp_path / "kept") == ["notes.txt"]
 
     def test_coefficients_payload(self, tmp_path):
         out = str(tmp_path / "run")
@@ -154,11 +168,19 @@ class TestTrain:
         payload = json.loads(read(os.path.join(out, "coefficients.json")))
         assert payload["d"] == 15
         assert payload["variant"] == "ista_bb"
-        assert payload["penalty"]["kind"] == "l1"
+        assert payload["penalty"] == {"kind": "l1", "theta": None, "epsilon": None}
         assert len(payload["nonzeros"]) >= 1
         for idx, val in payload["nonzeros"].items():
             assert 0 <= int(idx) < 15
             assert val != 0.0
+        # the default shapes are written as fitted; only a shape the kind lacks is null
+        for kind, theta in (("scad", 3.7), ("mcp", 3.0), ("capped_l1", None)):
+            out = str(tmp_path / kind)
+            assert main(["train", *SYNTH, "--penalty", kind, "--out", out]) == EXIT_OK
+            payload = json.loads(read(os.path.join(out, "coefficients.json")))
+            lam_max = json.loads(read(os.path.join(out, "summary.json")))["lambda_max"]
+            epsilon = 0.5 * lam_max if kind == "capped_l1" else None
+            assert payload["penalty"] == {"kind": kind, "theta": theta, "epsilon": epsilon}
 
     def test_trace_csv_round_trips(self, tmp_path):
         out = str(tmp_path / "run")

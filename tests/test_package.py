@@ -3,6 +3,7 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import sys
 import types
@@ -95,3 +96,20 @@ def test_benchmark_modules_import_and_find_their_names(name):
             owner = getattr(module, node.value.id, None)
             if isinstance(owner, types.ModuleType) and owner.__name__.startswith("proxlogit"):
                 assert hasattr(owner, node.attr), f"{owner.__name__}.{node.attr}"
+
+
+@pytest.mark.parametrize("name", ["l1_path", "nonconvex_cv", "csv_train"])
+def test_benchmark_pass_meets_its_reference(name, tmp_path):
+    # the benchmark's correctness gate on one pass at run seed 0: every op
+    # converges and ends at most 1e-6 * max(1, |f_ref|) above its reference
+    workload = load_benchmark_module("workloads").WORKLOADS[name]
+    with open(os.path.join(BENCHMARK_DIR, "reference.json"), encoding="utf-8") as fh:
+        reference = json.load(fh)["workloads"][name]
+    base, _ = data.generate_synthetic(workload.spec)
+    inputs = workload.prepare(base, 0, str(tmp_path))
+    with load_benchmark_module("instrument").Instrument(spans=False) as inst:
+        ops = workload.run(inputs, inst)
+    assert len(ops) == workload.ops_per_pass == len(reference)
+    for i, (op, f_ref) in enumerate(zip(ops, reference)):
+        assert op.ok, f"{name} op {i} did not converge"
+        assert op.objective <= f_ref + 1e-6 * max(1.0, abs(f_ref)), (name, i, op.objective, f_ref)
