@@ -10,6 +10,11 @@ parser rejects, is an error naming the key or flag.  Artifacts are
 CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
+A run checks, solves, then writes: every check that needs no fit runs first,
+down to whether ``--out`` could be made and written in; a subcommand returns
+its artifacts as ``{file name: text}``, and only then does ``main`` make
+``--out`` and write them.  So a failed run leaves no run directory.
+
 Exit codes: 0 success/converged, 2 iteration cap hit (by any fit of a path,
 a cross-validation or a benchmark grid), 1 error.
 """
@@ -18,7 +23,9 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import ctypes
 import dataclasses
+import glob
 import json
 import os
 import statistics
@@ -199,7 +206,8 @@ class RunConfig:
                                              ("bench",),
                                              help="comma-separated solver variants")
 
-    out_dir: str = _field("out", "output.dir", "--out", help="output directory")
+    out_dir: str = _field("out", "output.dir", "--out", _checked(str, bool, "a nonempty path"),
+                          help="output directory")
     trace_every: int = _field(1, "output.trace_every", "--trace-every", _AT_LEAST_1,
                               ("train",), help="thin the emitted trace to every Nth iteration")
 
@@ -271,10 +279,11 @@ def _load_dataset(cfg: RunConfig):
 
 def _build_penalty(cfg: RunConfig, lam: float) -> Penalty:
     """The penalty at ``lam``; subcommands build it at lambda_max, then replace ``lam``."""
+    shape = {} if cfg.theta is None else {"theta": cfg.theta}  # else Penalty's default
     if cfg.penalty == SCAD:
-        return Penalty.scad(lam, theta=cfg.theta if cfg.theta is not None else 3.7)
+        return Penalty.scad(lam, **shape)
     if cfg.penalty == MCP:
-        return Penalty.mcp(lam, theta=cfg.theta if cfg.theta is not None else 3.0)
+        return Penalty.mcp(lam, **shape)
     if cfg.penalty == CAPPED_L1:
         return Penalty.capped_l1(lam, epsilon=cfg.epsilon)
     return Penalty.l1(lam)
@@ -285,23 +294,32 @@ def _build_options(cfg: RunConfig, variant: str | None = None) -> SolverOptions:
                          max_iters=cfg.max_iters, tol=cfg.tol, seed=cfg.seed, beta0=cfg.beta0)
 
 
-def _ensure_out(cfg: RunConfig) -> str:
-    probe = os.path.join(cfg.out_dir, ".write_probe")
+def _blas_threads() -> int | None:
+    """The threads of numpy's bundled OpenBLAS, or None where it cannot be asked."""
+    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*"))
     try:
-        os.makedirs(cfg.out_dir, exist_ok=True)
-        with open(probe, "w") as fh:
-            fh.write("")
-        os.remove(probe)
-    except OSError as exc:
-        raise CliError(f"output directory {cfg.out_dir!r} is not writable: {exc}") from exc
-    return cfg.out_dir
+        return ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_()
+    except (IndexError, OSError, AttributeError):
+        return None
+
+
+def _check_out(path: str) -> None:
+    """Fail, making nothing, unless ``path`` or its nearest existing ancestor is a writable dir."""
+    base = path
+    while base and not os.path.lexists(base):
+        base = os.path.dirname(base)
+    base = base or os.curdir
+    if not (os.path.isdir(base) and os.access(base, os.W_OK | os.X_OK)):
+        raise CliError(f"output directory {path!r} is not writable: "
+                       f"{base!r} is not a writable directory")
 
 
 def _set_up(cfg: RunConfig, command: str):
-    """``(data, lambda_max, job, out)`` of ``train``, ``path`` or ``cv``.
+    """``(data, lambda_max, job)`` of ``train``, ``path`` or ``cv``, every check done.
 
-    Every check that needs no fit runs before ``--out`` is made: the data,
-    lambda_max, the penalty and, for ``cv``, the fold count.  ``job`` is
+    The checks that need no fit: the data, lambda_max, the penalty, for
+    ``cv`` the fold count, and last ``_check_out``.  The command then solves,
+    and ``main`` makes ``--out`` and writes the artifacts.  ``job`` is
     ``train``'s penalty at ``lambda_frac`` of lambda_max, or the ``PathSpec``
     of ``path`` and ``cv``, whose template sits at lambda_max.
     """
@@ -314,14 +332,17 @@ def _set_up(cfg: RunConfig, command: str):
                        fractions=cfg.fractions, warm_start=cfg.warm_start)
     if command == "cv":
         kfold_split(data.n_samples, cfg.folds)
-    return data, lam_top, job, _ensure_out(cfg)
+    _check_out(cfg.out_dir)
+    return data, lam_top, job
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _csv(header: str, rows) -> str:
     """A table: the ``header`` line, then one line per row of cell strings."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in rows)
+    return header + "\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def _coefficients_payload(beta: np.ndarray, lam: float, pen: Penalty, cfg: RunConfig) -> dict:
@@ -337,89 +358,81 @@ def _coefficients_payload(beta: np.ndarray, lam: float, pen: Penalty, cfg: RunCo
     }
 
 
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns its exit code and its artifacts, {file name: text}
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    data, lam_top, pen, out = _set_up(cfg, "train")
+def cmd_train(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    data, lam_top, pen = _set_up(cfg, "train")
     result = fit(data, pen, _build_options(cfg))
 
-    _write_json(os.path.join(out, "coefficients.json"),
-                _coefficients_payload(result.beta, pen.lam, pen, cfg))
     trace, last = result.trace, len(result.trace) - 1
-    _write_csv(os.path.join(out, "trace.csv"), TRACE_HEADER, (
-        [str(i + 1), _fmt(trace.objectives[i]), _fmt(trace.step_scales[i]),
-         str(trace.backtracks[i]), str(trace.nonzeros[i]), _fmt(trace.times[i])]
-        for i in range(len(trace)) if i % cfg.trace_every == 0 or i == last))
-    _write_json(os.path.join(out, "summary.json"), {
-        "variant": cfg.variant,
-        "penalty": cfg.penalty,
-        "lambda": pen.lam,
-        "lambda_frac": cfg.lambda_frac,
-        "lambda_max": lam_top,
-        "converged": result.converged,
-        "iterations": result.n_iterations,
-        "final_objective": result.final_objective,
-        "nnz": result.nnz,
-        "matvecs": result.matvecs,
-        "feature_rows": result.feature_rows,
-        "omp_num_threads": os.environ.get("OMP_NUM_THREADS"),
-        "time_s": result.seconds,
-    })
-    return EXIT_OK if result.converged else EXIT_MAXITERS
+    return EXIT_OK if result.converged else EXIT_MAXITERS, {
+        "coefficients.json": _json(_coefficients_payload(result.beta, pen.lam, pen, cfg)),
+        "trace.csv": _csv(TRACE_HEADER, (
+            [str(i + 1), _fmt(trace.objectives[i]), _fmt(trace.step_scales[i]),
+             str(trace.backtracks[i]), str(trace.nonzeros[i]), _fmt(trace.times[i])]
+            for i in range(len(trace)) if i % cfg.trace_every == 0 or i == last)),
+        "summary.json": _json({
+            "variant": cfg.variant,
+            "penalty": cfg.penalty,
+            "lambda": pen.lam,
+            "lambda_frac": cfg.lambda_frac,
+            "lambda_max": lam_top,
+            "converged": result.converged,
+            "iterations": result.n_iterations,
+            "final_objective": result.final_objective,
+            "nnz": result.nnz,
+            "matvecs": result.matvecs,
+            "feature_rows": result.feature_rows,
+            "blas_threads": _blas_threads(),
+            "time_s": result.seconds,
+        }),
+    }
 
 
-def cmd_path(cfg: RunConfig) -> int:
-    data, _, spec, out = _set_up(cfg, "path")
+def cmd_path(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    data, _, spec = _set_up(cfg, "path")
     points = run_path(data, spec)
 
-    _write_csv(os.path.join(out, "path.csv"),
-               "fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows", (
-        [format(pt.fraction, "g"), _fmt(pt.lam), _fmt(pt.result.final_objective),
-         str(pt.result.n_iterations), str(pt.result.nnz), _fmt(pt.result.seconds),
-         str(pt.result.matvecs), str(pt.result.feature_rows)] for pt in points))
+    files = {"path.csv": _csv(
+        "fraction,lambda,final_objective,iterations,nnz,time_s,matvecs,feature_rows", (
+            [format(pt.fraction, "g"), _fmt(pt.lam), _fmt(pt.result.final_objective),
+             str(pt.result.n_iterations), str(pt.result.nnz), _fmt(pt.result.seconds),
+             str(pt.result.matvecs), str(pt.result.feature_rows)] for pt in points))}
     for pt in points:
-        payload = _coefficients_payload(pt.result.beta, pt.lam, spec.pen_template, cfg)
-        _write_json(os.path.join(out, f"coefficients_{pt.fraction:g}.json"), payload)
-    return EXIT_OK if all(pt.result.converged for pt in points) else EXIT_MAXITERS
+        files[f"coefficients_{pt.fraction:g}.json"] = _json(
+            _coefficients_payload(pt.result.beta, pt.lam, spec.pen_template, cfg))
+    return EXIT_OK if all(pt.result.converged for pt in points) else EXIT_MAXITERS, files
 
 
-def cmd_cv(cfg: RunConfig) -> int:
-    data, _, spec, out = _set_up(cfg, "cv")
+def cmd_cv(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    data, _, spec = _set_up(cfg, "cv")
     report = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
 
-    _write_csv(os.path.join(out, "cv.csv"), "fraction,fold,accuracy,nnz,iterations,reason", (
-        [format(c.fraction, "g"), str(c.fold), "" if c.accuracy is None else _fmt(c.accuracy),
-         "" if c.nnz is None else str(c.nnz), "" if c.iterations is None else str(c.iterations),
-         c.reason or ""]
-        for c in sorted(report.cells, key=lambda c: (-c.fraction, c.fold))))
     means = report.mean_accuracy()
-    _write_csv(os.path.join(out, "cv_means.csv"), "fraction,mean_accuracy,folds_used", (
-        [format(frac, "g"), "" if frac not in means else _fmt(means[frac]),
-         str(sum(c.fraction == frac and c.accuracy is not None for c in report.cells))]
-        for frac in sorted(spec.fractions, reverse=True)))
-    return EXIT_MAXITERS if any(c.converged is False for c in report.cells) else EXIT_OK
+    return EXIT_MAXITERS if any(c.converged is False for c in report.cells) else EXIT_OK, {
+        "cv.csv": _csv("fraction,fold,accuracy,nnz,iterations,reason", (
+            [format(c.fraction, "g"), str(c.fold), "" if c.accuracy is None else _fmt(c.accuracy),
+             "" if c.nnz is None else str(c.nnz),
+             "" if c.iterations is None else str(c.iterations), c.reason or ""]
+            for c in sorted(report.cells, key=lambda c: (-c.fraction, c.fold)))),
+        "cv_means.csv": _csv("fraction,mean_accuracy,folds_used", (
+            [format(frac, "g"), "" if frac not in means else _fmt(means[frac]),
+             str(sum(c.fraction == frac and c.accuracy is not None for c in report.cells))]
+            for frac in sorted(spec.fractions, reverse=True))),
+    }
 
 
-def cmd_bench(cfg: RunConfig) -> int:
-    cells = []  # every cell's data and penalty, checked before --out is made
+def cmd_bench(cfg: RunConfig) -> tuple[int, dict[str, str]]:
+    _check_out(cfg.out_dir)
+    rows = []
+    converged = True
     for ci, (n, d) in enumerate(cfg.grid):
         data, _ = generate_synthetic(SyntheticSpec(n_samples=n, n_features=d,
                                                    n_nonzero=max(1, d // 10), seed=cfg.seed + ci))
         lam_top = lambda_max(data)
-        cells.append((data, dataclasses.replace(_build_penalty(cfg, lam_top),
-                                                lam=cfg.lambda_frac * lam_top)))
-    out = _ensure_out(cfg)
-    rows = []
-    converged = True
-    for data, pen in cells:
+        pen = dataclasses.replace(_build_penalty(cfg, lam_top), lam=cfg.lambda_frac * lam_top)
         for variant in cfg.bench_variants:
             opts = _build_options(cfg, variant=variant)
             times, iters = [], []
@@ -429,10 +442,10 @@ def cmd_bench(cfg: RunConfig) -> int:
                 times.append(result.seconds)
                 iters.append(result.n_iterations)
                 converged = converged and result.converged
-            rows.append([variant, str(data.n_samples), str(data.n_features),
+            rows.append([variant, str(n), str(d),
                          _fmt(statistics.median(times)), format(statistics.median(iters), "g")])
-    _write_csv(os.path.join(out, "bench.csv"), "variant,n,d,median_time_s,median_iters", rows)
-    return EXIT_OK if converged else EXIT_MAXITERS
+    return EXIT_OK if converged else EXIT_MAXITERS, {
+        "bench.csv": _csv("variant,n,d,median_time_s,median_iters", rows)}
 
 
 _COMMANDS = {
@@ -475,34 +488,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _missing_dirs(path: str) -> list[str]:
-    """The directories ``os.makedirs(path)`` would make, innermost first.
-
-    ``path`` is not normalized, so ``a/b/../c`` also lists ``a/b``, as
-    ``os.makedirs`` makes it.
-    """
-    missing = []
-    while path and not os.path.lexists(path):
-        missing.append(path)
-        path = os.path.dirname(path)
-    return missing
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand; on an error, remove the empty directories it made for ``--out``."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    made = []
+    """Run one subcommand; once it has returned, make ``--out`` and write its files."""
+    args = build_parser().parse_args(argv)
     try:
         cfg = _build_config(args)
-        made = _missing_dirs(cfg.out_dir)
-        return _COMMANDS[args.command][0](cfg)
+        code, files = _COMMANDS[args.command][0](cfg)
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
+        return code
     except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
-        for path in made:  # os.rmdir removes only an empty directory
-            try:
-                os.rmdir(path)
-            except OSError:  # not made, written into, or a ".." step
-                pass
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -150,7 +152,7 @@ class TestTrain:
         assert code == EXIT_ERROR
         err = capsys.readouterr().err.strip()
         assert "\n" not in err and "feature scale" in err
-        # the fit finds the fault after --out is made; the empty directory goes
+        # the fit finds the fault, and --out is made only after a fit returns
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("out", ["kept", "kept/new/run", "kept/new/sub/../run"])
@@ -316,6 +318,19 @@ def test_fista_at_its_rounding_floor_exits_0_or_2(tmp_path):
                  "--synthetic-seed", "7", "--lambda-frac", "0.02", "--variant", "fista_lip",
                  "--tol", "0", "--max-iters", "20000", "--out", str(tmp_path / "run")])
     assert code in (EXIT_OK, EXIT_MAXITERS)
+
+
+def test_summary_records_the_blas_threads_of_the_fit(tmp_path):
+    if cli._blas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS cannot be asked for its threads")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([os.path.join(REPO_ROOT, "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    env.pop("OMP_NUM_THREADS", None)
+    out = tmp_path / "run"
+    subprocess.run([sys.executable, "-m", "proxlogit", "train", "--format", "synthetic",
+                    "--out", str(out)], env=env, check=True)
+    assert json.loads(read(out / "summary.json"))["blas_threads"] == 1
 
 
 class TestCv:
@@ -655,9 +670,12 @@ class TestConfigTable:
         assert reads == {f.name for f in self.FIELDS if command in f.metadata["commands"]}
 
 
+SOLVES = [("train", "fit"), ("path", "run_path"), ("cv", "cross_validate"), ("bench", "fit")]
+BENCH_CELL = ["--grid", "20x5", "--reps", "1", "--variants", "ista_bb"]
+
+
 class TestOutputCheckedFirst:
-    @pytest.mark.parametrize("command, solve", [
-        ("train", "fit"), ("path", "run_path"), ("cv", "cross_validate")])
+    @pytest.mark.parametrize("command, solve", SOLVES)
     def test_unusable_out_exits_1_before_solving(self, command, solve, tmp_path, capsys,
                                                  monkeypatch):
         calls = []
@@ -665,12 +683,34 @@ class TestOutputCheckedFirst:
         blocker = tmp_path / "file"
         blocker.write_text("")
         out = str(blocker / "sub")  # below a regular file: cannot be made
-        code = main([command, *SYNTH, "--out", out])
+        code = main([command, *(BENCH_CELL if command == "bench" else SYNTH), "--out", out])
         assert code == EXIT_ERROR
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: output directory {out!r} is not writable")
         assert calls == []
+
+    @pytest.mark.parametrize("command, solve", SOLVES)
+    def test_out_is_made_only_once_the_solve_has_returned(self, command, solve, tmp_path,
+                                                          monkeypatch):
+        out, made, real = tmp_path / "new" / "run", [], getattr(cli, solve)
+
+        def solving(*args, **kwargs):
+            made.append(os.path.lexists(tmp_path / "new"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, solve, solving)
+        argv = BENCH_CELL if command == "bench" else SYNTH
+        assert main([command, *argv, "--out", str(out)]) == EXIT_OK
+        assert made and not any(made)
+        artifact = {"train": "summary.json", "path": "path.csv", "cv": "cv_means.csv",
+                    "bench": "bench.csv"}[command]
+        assert (out / artifact).is_file()
+
+    def test_empty_out_exits_1_before_solving(self, capsys):
+        # os.makedirs("") fails, so the check cannot wait for the solve
+        assert main(["train", *SYNTH, "--out", ""]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: --out: expected a nonempty path, got ''\n"
 
 
 class TestPenaltyCheckedFirst:
