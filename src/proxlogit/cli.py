@@ -11,9 +11,9 @@ CSV and JSON only; plotting is out of process (the emitted trace and path
 tables carry everything a plotting tool needs).
 
 A run checks, solves, then writes: every check that needs no fit runs first,
-down to whether ``--out`` could be made and written in; a subcommand returns
-its artifacts as ``{file name: text}``, and only then does ``main`` make
-``--out`` and write them.  So a failed run leaves no run directory.
+down to whether ``--out`` could be made and written in; once the subcommand
+returns its artifacts (``{file name: text}``), ``main`` makes ``--out`` and
+writes them.  So no failure but a failed write leaves a run directory.
 
 Exit codes: 0 success/converged, 2 iteration cap hit (by any fit of a path,
 a cross-validation or a benchmark grid), 1 error.
@@ -295,12 +295,15 @@ def _build_options(cfg: RunConfig, variant: str | None = None) -> SolverOptions:
 
 
 def _blas_threads() -> int | None:
-    """The threads of numpy's bundled OpenBLAS, or None where it cannot be asked."""
-    libs = glob.glob(os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*"))
-    try:
-        return ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_()
-    except (IndexError, OSError, AttributeError):
-        return None
+    """The threads of numpy's bundled OpenBLAS (a numpy 2 or 1.x wheel's), else None."""
+    libs = os.path.join(os.path.dirname(np.__path__[0]), "numpy.libs", "*openblas*")
+    for lib in glob.glob(libs):
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"):
+            try:
+                return getattr(ctypes.CDLL(lib), name)()
+            except (OSError, AttributeError):
+                pass
+    return None
 
 
 def _check_out(path: str) -> None:

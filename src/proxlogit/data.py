@@ -120,12 +120,10 @@ _CSV_BLOCK_ROWS = 128
 def _loadtxt_table(path, label_column: int, has_header: bool):
     """``(X, y)`` of a file ``np.loadtxt`` reads as the scanner would, else None."""
     try:
-        with open(path, "r", encoding="utf-8") as fh, warnings.catch_warnings():
+        with warnings.catch_warnings():
             warnings.simplefilter("error")
-            if has_header:  # the first physical line, as the scanner drops it
-                next(fh, None)
-            table = np.loadtxt((line for line in fh if not line.isspace()), delimiter=",",
-                               comments=None, ndmin=2)
+            table = np.loadtxt(path, delimiter=",", comments=None, ndmin=2,
+                               skiprows=1 if has_header else 0, encoding="utf-8")
     except (ValueError, OSError, Warning):
         return None
     if not (len(table) and 0 <= label_column < table.shape[1]):
@@ -145,13 +143,13 @@ def load_csv(path, label_column: int, has_header: bool = False,
     With ``add_intercept`` a constant-1 feature is appended; note it is
     penalized like any other feature.
 
-    Whitespace-only lines are skipped.  A well-formed file (every cell a
-    number ``np.loadtxt`` reads, labels in {0, 1} or {-1, +1}) is read once:
-    its lines go to one ``np.loadtxt`` call, which parses them in C.  Any other
-    file goes to the line scanner, which strips each cell's ends as
-    ``np.loadtxt`` does (``str.strip()``), accepts what ``float()`` accepts
-    (``1_000``, full-width digits) and names the first faulty line and cell in
-    a ``DataError``.  Both paths give bit-identical arrays, and a file the
+    A well-formed file (every cell a number ``np.loadtxt`` reads, no
+    whitespace-only line, labels in {0, 1} or {-1, +1}) is parsed in C by one
+    ``np.loadtxt`` call.  Any other file goes to the line scanner, which
+    strips each cell's ends as ``np.loadtxt`` does (``str.strip()``), accepts
+    what ``float()`` accepts (``1_000``, full-width digits), skips
+    whitespace-only lines and names the first faulty line and cell in a
+    ``DataError``.  Both paths give bit-identical arrays, and a file the
     scanner rejects raises the scanner's error.  During the ``np.loadtxt``
     call every warning is an error (an empty file warns); that filter holds
     for the whole process, so a warning another thread raises then is an

@@ -333,6 +333,22 @@ def test_summary_records_the_blas_threads_of_the_fit(tmp_path):
     assert json.loads(read(out / "summary.json"))["blas_threads"] == 1
 
 
+@pytest.mark.parametrize("exported, expected", [
+    ("scipy_openblas_get_num_threads64_", 3),  # numpy 2 wheels
+    ("openblas_get_num_threads64_", 3),  # numpy 1.x wheels (libopenblas64_p)
+    ("openblas_get_num_threads", None),  # neither name
+])
+def test_blas_threads_asks_the_name_the_wheel_exports(monkeypatch, exported, expected):
+    class Library:
+        pass
+
+    lib = Library()
+    setattr(lib, exported, lambda: 3)
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: ["libopenblas.so"])
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda path: lib)
+    assert cli._blas_threads() == expected
+
+
 class TestCv:
     ARGS = ["cv", *SYNTH, "--synthetic-samples", "100", "--folds", "5",
             "--fractions", "0.1,0.5", "--max-iters", "2000"]

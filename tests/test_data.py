@@ -138,8 +138,8 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("n_rows", [1, 127, 128, 129, 300])
     def test_rows_across_parse_blocks_on_the_scanner(self, tmp_path, monkeypatch, n_rows):
-        # a last row whose first cell float() reads and np.loadtxt rejects ("1_0")
-        # sends the file to the line scanner, the path that has the blocks
+        # a whitespace-only last line, which np.loadtxt rejects, sends the file to the
+        # line scanner, the path that has the blocks
         scanned = []
         real_scan = data_module._scan_csv
         monkeypatch.setattr(data_module, "_scan_csv",
@@ -147,10 +147,9 @@ class TestLoadCsv:
         rng = np.random.default_rng(n_rows)
         table = rng.standard_normal((n_rows, 4))
         table[:, 1] = rng.integers(0, 2, size=n_rows)
-        table[-1, 0] = 10.0
-        lines = [",".join(f"{v:.17g}" for v in row) for row in table]
-        lines[-1] = "1_0," + lines[-1].split(",", 1)[1]
-        ds = load_csv(write(tmp_path / "a.csv", "\n".join(lines) + "\n"), label_column=1)
+        p = tmp_path / "a.csv"
+        np.savetxt(p, table, fmt="%.17g", delimiter=",", footer=" \t", comments="")
+        ds = load_csv(str(p), label_column=1)
         assert len(scanned) == 1
         np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
         np.testing.assert_array_equal(ds.labels, table[:, 1])
@@ -168,7 +167,7 @@ class TestLoadCsv:
             raise AssertionError("the line scanner ran")
 
         monkeypatch.setattr(data_module, "_scan_csv", no_scan)
-        p = write(tmp_path / "a.csv", "x,y,z\r\n+1,0.5,-2e3\r\n\r\n \t\r\n-1, 1.5 ,3\r\n \n")
+        p = write(tmp_path / "a.csv", "x,y,z\r\n+1,0.5,-2e3\r\n\r\n-1, 1.5 ,3\r\n")
         ds = load_csv(p, label_column=0, has_header=True, add_intercept=True)
         np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-2e3, 3.0], [1.0, 1.0]])
         np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
