@@ -28,14 +28,13 @@ import dataclasses
 import glob
 import json
 import os
-import statistics
 import sys
 
 import numpy as np
 
 from .data import (DataError, Dataset, SyntheticSpec, _with_intercept, generate_synthetic,
                    load_csv, load_libsvm)
-from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, kfold_split, lambda_max, run_path
+from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
 from .solver import VARIANTS, SolverOptions, fit
 
@@ -58,15 +57,6 @@ def _fmt(x: float) -> str:
 
 # ---------------------------------------------------------------------------
 # Configuration
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise CliError(f"expected a boolean, got {text!r}")
 
 
 def _parse_grid(text: str) -> tuple[tuple[int, int], ...]:
@@ -95,6 +85,8 @@ def _checked(convert, ok, expected: str):
     return parse
 
 
+_parse_bool = _checked(lambda t: configparser.ConfigParser.BOOLEAN_STATES.get(t.strip().lower()),
+                       lambda v: v is not None, "a boolean")
 _POSITIVE_FINITE = _checked(float, lambda v: 0 < v < np.inf, "a positive finite number")
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _parse_fractions = _checked(  # in any order; returned increasing, as PathSpec takes them
@@ -320,11 +312,10 @@ def _check_out(path: str) -> None:
 def _set_up(cfg: RunConfig, command: str):
     """``(data, lambda_max, job)`` of ``train``, ``path`` or ``cv``, every check done.
 
-    The checks that need no fit: the data, lambda_max, the penalty, for
-    ``cv`` the fold count, and last ``_check_out``.  The command then solves,
-    and ``main`` makes ``--out`` and writes the artifacts.  ``job`` is
-    ``train``'s penalty at ``lambda_frac`` of lambda_max, or the ``PathSpec``
-    of ``path`` and ``cv``, whose template sits at lambda_max.
+    The checks that need no fit: the data, lambda_max, the penalty, and last
+    ``_check_out``; ``main`` makes ``--out`` once the command has solved.
+    ``job`` is ``train``'s penalty at ``lambda_frac`` of lambda_max, or the
+    ``PathSpec`` of ``path`` and ``cv``, whose template sits at lambda_max.
     """
     data = _load_dataset(cfg)
     lam_top = lambda_max(data)
@@ -333,8 +324,6 @@ def _set_up(cfg: RunConfig, command: str):
     else:
         job = PathSpec(pen_template=_build_penalty(cfg, lam_top), opts=_build_options(cfg),
                        fractions=cfg.fractions, warm_start=cfg.warm_start)
-    if command == "cv":
-        kfold_split(data.n_samples, cfg.folds)
     _check_out(cfg.out_dir)
     return data, lam_top, job
 
@@ -411,19 +400,19 @@ def cmd_path(cfg: RunConfig) -> tuple[int, dict[str, str]]:
 
 def cmd_cv(cfg: RunConfig) -> tuple[int, dict[str, str]]:
     data, _, spec = _set_up(cfg, "cv")
-    report = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
+    cells = cross_validate(data, spec, k=cfg.folds, seed=cfg.cv_seed)
 
-    means = report.mean_accuracy()
-    return EXIT_MAXITERS if any(c.converged is False for c in report.cells) else EXIT_OK, {
+    accs = {frac: [c.accuracy for c in cells if c.fraction == frac and c.accuracy is not None]
+            for frac in sorted(spec.fractions, reverse=True)}  # of the folds not skipped
+    return EXIT_MAXITERS if any(c.converged is False for c in cells) else EXIT_OK, {
         "cv.csv": _csv("fraction,fold,accuracy,nnz,iterations,reason", (
             [format(c.fraction, "g"), str(c.fold), "" if c.accuracy is None else _fmt(c.accuracy),
              "" if c.nnz is None else str(c.nnz),
              "" if c.iterations is None else str(c.iterations), c.reason or ""]
-            for c in sorted(report.cells, key=lambda c: (-c.fraction, c.fold)))),
+            for c in sorted(cells, key=lambda c: (-c.fraction, c.fold)))),
         "cv_means.csv": _csv("fraction,mean_accuracy,folds_used", (
-            [format(frac, "g"), "" if frac not in means else _fmt(means[frac]),
-             str(sum(c.fraction == frac and c.accuracy is not None for c in report.cells))]
-            for frac in sorted(spec.fractions, reverse=True))),
+            [format(frac, "g"), _fmt(np.mean(a)) if a else "", str(len(a))]
+            for frac, a in accs.items())),
     }
 
 
@@ -446,7 +435,7 @@ def cmd_bench(cfg: RunConfig) -> tuple[int, dict[str, str]]:
                 iters.append(result.n_iterations)
                 converged = converged and result.converged
             rows.append([variant, str(n), str(d),
-                         _fmt(statistics.median(times)), format(statistics.median(iters), "g")])
+                         _fmt(np.median(times)), format(np.median(iters), "g")])
     return EXIT_OK if converged else EXIT_MAXITERS, {
         "bench.csv": _csv("variant,n,d,median_time_s,median_iters", rows)}
 

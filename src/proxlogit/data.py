@@ -9,6 +9,7 @@ mapped -1 -> 0, +1 -> 1.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import warnings
 
 import numpy as np
@@ -68,15 +69,10 @@ class Dataset:
     def n_samples(self) -> int:
         return self.features.shape[1]
 
-    @property
+    @functools.cached_property
     def lipschitz(self) -> float:
-        """``lipschitz_constant(self)``, estimated on first read and kept, as X is read-only.
-
-        Concurrent first reads may each estimate; they store the same value.
-        """
-        if "_lipschitz" not in self.__dict__:
-            self.__dict__["_lipschitz"] = lipschitz_constant(self)
-        return self.__dict__["_lipschitz"]
+        """``lipschitz_constant(self)``, estimated on first read and kept, as X is read-only."""
+        return lipschitz_constant(self)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -37,13 +37,9 @@ if TYPE_CHECKING:
     from .data import Dataset
 
 __all__ = [
-    "Products",
-    "gradient_from_margins",
     "lipschitz_constant",
-    "loss_from_margins",
     "loss_gradient",
     "loss_value",
-    "margins",
     "sigmoid",
     "softplus",
 ]

@@ -20,7 +20,6 @@ from .solver import FitResult, SolverOptions, fit
 
 __all__ = [
     "CvCell",
-    "CvReport",
     "DEFAULT_FRACTIONS",
     "PathPoint",
     "PathSpec",
@@ -138,49 +137,32 @@ class CvCell:
     converged: bool | None = None
 
 
-@dataclasses.dataclass
-class CvReport:
-    cells: list[CvCell]
-
-    def mean_accuracy(self) -> dict[float, float]:
-        """Per-fraction mean over folds that were not skipped."""
-        sums: dict[float, list[float]] = {}
-        for cell in self.cells:
-            if cell.accuracy is not None:
-                sums.setdefault(cell.fraction, []).append(cell.accuracy)
-        return {frac: float(np.mean(vals)) for frac, vals in sums.items()}
-
-
-def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> CvReport:
-    """k-fold cross-validation of the whole path.
+def cross_validate(data: Dataset, spec: PathSpec, k: int, seed: int = 0) -> list[CvCell]:
+    """k-fold cross-validation of the whole path: cells fold by fold, largest fraction first.
 
     For each fold the path (including lambda_max) is computed on the training
     complement and accuracy is scored on the held-out fold, so each fold
     makes its own Lipschitz estimate, of its training data and once for its
-    whole path; nothing else is estimated.  Folds whose training labels are
-    single-class are recorded as skipped cells.
+    whole path; nothing else is estimated.  A fold whose training labels are
+    single-class, or whose lambda_max is undefined, gives skipped cells.
+    ``kfold_split`` checks ``k`` before the first fit.
     """
-    folds = kfold_split(data.n_samples, k, seed)
     fracs_desc = sorted(spec.fractions, reverse=True)
     cells: list[CvCell] = []
-    for j, fold in enumerate(folds):
+    for j, fold in enumerate(kfold_split(data.n_samples, k, seed)):
         mask = np.ones(data.n_samples, dtype=bool)
         mask[fold] = False
         train = Dataset(data.features[:, mask], data.labels[mask])
         test = Dataset(data.features[:, fold], data.labels[fold])
-        if np.all(train.labels == train.labels[0]):
-            for frac in fracs_desc:
-                cells.append(CvCell(frac, j, None, None, None,
-                                    reason="single-class training labels"))
-            continue
         try:
+            if np.all(train.labels == train.labels[0]):
+                raise ValueError("single-class training labels")
             points = run_path(train, spec)
-        except ValueError as exc:  # degenerate lambda_max
-            for frac in fracs_desc:
-                cells.append(CvCell(frac, j, None, None, None, reason=str(exc)))
+        except ValueError as exc:  # or a degenerate lambda_max; fit failures are RuntimeError
+            cells.extend(CvCell(frac, j, None, None, None, reason=str(exc)) for frac in fracs_desc)
             continue
         for pt in points:
             cells.append(CvCell(pt.fraction, j, accuracy(pt.result.beta, test),
                                 pt.result.nnz, pt.result.n_iterations,
                                 converged=pt.result.converged))
-    return CvReport(cells)
+    return cells

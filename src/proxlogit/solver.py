@@ -53,7 +53,7 @@ search evaluates its ladder of scales L0, L0/eta, ... in blocks of
 one-candidate kernels at the sizes of a typical fit.  A block product rounds
 differently from a one-row product, so iterates differ from a one-at-a-time
 scan by rounding.  Every fit reports the objective of the coefficients it
-returns as ``objective`` computes it, for one more product.
+returns as the loss plus penalty from one full product.
 
 One rule, read off the start vector, decides where a fit iterates.  An l1
 fit whose start has nnz > 0 nonzeros and for which
@@ -100,8 +100,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .logistic import (Products, gradient_from_margins, loss_from_margins, loss_value,
-                       margins)
+from .logistic import Products, gradient_from_margins, loss_from_margins, margins
 from .penalties import L1, Penalty, penalty_value, prox_vector
 
 __all__ = [
@@ -111,7 +110,6 @@ __all__ = [
     "Trace",
     "VARIANTS",
     "fit",
-    "objective",
 ]
 
 
@@ -251,12 +249,12 @@ class FitResult:
     are counted by the rule of ``logistic.Products``.  Per iteration a fit
     makes one gradient product and one margin product per evaluated
     candidate, each row of a reverse-search block included, so a carried
-    scale's first iteration counts its ladder rows; it also makes
-    one for the starting point and one for recomputing ``final_objective`` =
-    ``objective(beta)``.  A fit on a working set (the rule of the module
-    docstring) makes its iterations' products on the set's rows, plus one
-    full gradient at the start and one per check.  ``nnz`` counts the exact
-    nonzeros of ``beta``.
+    scale's first iteration counts its ladder rows; it also makes one for
+    the starting point and one for ``final_objective``, the loss plus penalty
+    of ``beta`` from one full product.  A fit on a working set (the rule of
+    the module docstring) makes its iterations' products on the set's rows,
+    plus one full gradient at the start and one per check.  ``nnz`` counts
+    the exact nonzeros of ``beta``.
     """
 
     beta: np.ndarray
@@ -274,11 +272,6 @@ class FitResult:
     @property
     def nnz(self) -> int:
         return int(np.count_nonzero(self.beta))
-
-
-def objective(beta, data: Dataset, pen: Penalty) -> float:
-    """Penalized objective: logistic loss plus penalty."""
-    return loss_value(beta, data) + penalty_value(beta, pen)
 
 
 def _bb_seed(delta, v, L0: float) -> float:
@@ -548,7 +541,7 @@ def fit(data: Dataset, pen: Penalty, opts: SolverOptions | None = None) -> FitRe
     else:
         beta, _, converged = descend(data, beta, z_beta)
     # Block products and working sets round differently from one full
-    # product: report beta's objective as ``objective`` computes it.
+    # product: report beta's loss plus penalty from one full product.
     final = loss_from_margins(margins(beta, data, holder), data) + penalty_value(beta, pen)
     return FitResult(beta=beta, converged=converged, trace=trace, final_objective=final,
                      matvecs=holder.products, feature_rows=holder.read,

@@ -1,6 +1,6 @@
-"""Reference formulas for the solver tests: one proximal-gradient step, the
-quadratic upper model, the anchor state the line searches start from, and the
-trial they call."""
+"""Reference formulas for the solver tests: the penalized objective, one
+proximal-gradient step, the quadratic upper model, the anchor state the line
+searches start from, and the trial they call."""
 
 import functools
 
@@ -8,6 +8,11 @@ import numpy as np
 
 from proxlogit import loss_gradient, loss_value, penalty_value, prox_vector, solver
 from proxlogit.logistic import gradient_from_margins, loss_from_margins, margins
+
+
+def objective(beta, data, pen):
+    """Penalized objective: logistic loss plus penalty."""
+    return loss_value(beta, data) + penalty_value(beta, pen)
 
 
 def prox_step(beta, data, pen, L):

@@ -392,6 +392,12 @@ class TestCv:
         assert skipped, "expected a skipped fold"
         for r in skipped:
             assert r[2] == "" and r[3] == "" and r[4] == ""
+        # folds_used counts the folds that were not skipped, and the mean is theirs
+        fitted = [r for r in rows if not r[5]]
+        assert fitted, "expected a fitted fold"
+        means = read(os.path.join(out, "cv_means.csv")).strip().split("\n")[1:]
+        assert [m.split(",")[::2] for m in means] == [["0.5", str(len(fitted))]]
+        assert float(means[0].split(",")[1]) == np.mean([float(r[2]) for r in fitted])
 
     def test_rerun_identical_except_time(self, tmp_path):
         a, b = str(tmp_path / "a"), str(tmp_path / "b")

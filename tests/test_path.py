@@ -200,43 +200,35 @@ class TestCrossValidate:
         rng = np.random.default_rng(21)
         data = Dataset(rng.standard_normal((4, 10)),
                        np.array([0.0, 1.0] * 5))
-        report = cross_validate(data, self.spec(), k=10, seed=1)
-        assert len(report.cells) == 2 * 10
-        for cell in report.cells:
+        cells = cross_validate(data, self.spec(), k=10, seed=1)
+        assert len(cells) == 2 * 10
+        for cell in cells:
             if cell.accuracy is not None:
                 assert cell.accuracy in (0.0, 1.0)
 
     def test_degenerate_fold_skipped_with_reason(self):
         rng = np.random.default_rng(22)
         data = Dataset(rng.standard_normal((3, 4)), np.array([1.0, 0.0, 0.0, 0.0]))
-        report = cross_validate(data, self.spec(), k=2, seed=0)
-        reasons = [c.reason for c in report.cells if c.reason]
+        cells = cross_validate(data, self.spec(), k=2, seed=0)
+        reasons = [c.reason for c in cells if c.reason]
         assert any("single-class" in r for r in reasons)
         # skipped cells carry no numbers
-        for c in report.cells:
+        for c in cells:
             if c.reason:
                 assert c.accuracy is None and c.nnz is None and c.iterations is None
-
-    def test_mean_accuracy_over_folds(self):
-        data = make_dataset(seed=141, d=8, n=60)
-        report = cross_validate(data, self.spec(), k=3, seed=4)
-        means = report.mean_accuracy()
-        for frac in (0.1, 0.5):
-            vals = [c.accuracy for c in report.cells if c.fraction == frac]
-            assert means[frac] == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_reproducible_for_fixed_seed(self):
         data = make_dataset(seed=151, d=8, n=40)
         a = cross_validate(data, self.spec(), k=4, seed=11)
         b = cross_validate(data, self.spec(), k=4, seed=11)
-        assert [(c.fraction, c.fold, c.accuracy, c.nnz) for c in a.cells] == \
-               [(c.fraction, c.fold, c.accuracy, c.nnz) for c in b.cells]
+        assert [(c.fraction, c.fold, c.accuracy, c.nnz) for c in a] == \
+               [(c.fraction, c.fold, c.accuracy, c.nnz) for c in b]
 
     def test_fold_accuracies_are_stable_on_iid_data(self):
         data, _ = generate_synthetic(SyntheticSpec(n_samples=500, n_features=20,
                                                    n_nonzero=4, seed=16))
-        report = cross_validate(data, self.spec(fractions=(0.1,)), k=5, seed=2)
-        accs = [c.accuracy for c in report.cells if c.accuracy is not None]
+        cells = cross_validate(data, self.spec(fractions=(0.1,)), k=5, seed=2)
+        accs = [c.accuracy for c in cells if c.accuracy is not None]
         assert len(accs) == 5
         assert max(accs) - min(accs) <= 0.15
 
@@ -250,12 +242,19 @@ class TestCrossValidate:
         with pytest.raises(ValueError):
             cross_validate(small_data, self.spec(), k=1, seed=0)
 
+    def test_k_above_samples_rejected_before_any_fit(self, small_data, lipschitz_calls):
+        # ``cv`` checks ``--folds`` only here, so the check must precede the first fold's fit
+        n = small_data.n_samples
+        with pytest.raises(ValueError, match=rf"k must lie in \[2, {n}\], got {n + 1}"):
+            cross_validate(small_data, self.spec(), k=n + 1, seed=0)
+        assert lipschitz_calls == []
+
     def test_zero_features_skip_every_cell(self):
         # every fold's gradient at the origin vanishes, so no path has a lambda_max
         data = Dataset(np.zeros((3, 8)), np.array([0.0, 1.0] * 4))
-        report = cross_validate(data, self.spec(), k=2, seed=0)
-        assert [(c.fraction, c.fold) for c in report.cells] == [
+        cells = cross_validate(data, self.spec(), k=2, seed=0)
+        assert [(c.fraction, c.fold) for c in cells] == [
             (0.5, 0), (0.1, 0), (0.5, 1), (0.1, 1)]
-        for c in report.cells:
+        for c in cells:
             assert c.reason == "gradient at the origin is zero; lambda_max is undefined"
             assert (c.accuracy, c.nnz, c.iterations, c.converged) == (None, None, None, None)

@@ -20,7 +20,6 @@ from proxlogit import (
     lipschitz_constant,
     loss_gradient,
     loss_value,
-    objective,
     penalty_value,
     prox_vector,
     run_path,
@@ -30,7 +29,7 @@ from proxlogit.logistic import Products, margins
 from proxlogit.solver import _bb_seed, _fista_t_next
 
 from conftest import assert_same_fit, make_dataset
-from solver_reference import anchor_state, bound_trial, prox_step, q_upper
+from solver_reference import anchor_state, bound_trial, objective, prox_step, q_upper
 
 
 def reference_optimum(data, pen, max_iters=50_000):
