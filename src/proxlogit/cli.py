@@ -32,8 +32,7 @@ import sys
 
 import numpy as np
 
-from .data import (DataError, Dataset, SyntheticSpec, _with_intercept, generate_synthetic,
-                   load_csv, load_libsvm)
+from .data import DataError, Dataset, SyntheticSpec, generate_synthetic, load_csv, load_libsvm
 from .path import DEFAULT_FRACTIONS, PathSpec, cross_validate, lambda_max, run_path
 from .penalties import CAPPED_L1, KINDS, MCP, Penalty, SCAD
 from .solver import VARIANTS, SolverOptions, fit
@@ -251,22 +250,23 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 # Shared assembly
 
 
-def _load_dataset(cfg: RunConfig):
+def _load_dataset(cfg: RunConfig) -> Dataset:
+    """The configured data, with a constant-1 last feature if ``add_intercept`` is set."""
     if cfg.data_format == "synthetic":
-        spec = SyntheticSpec(n_samples=cfg.synth_samples, n_features=cfg.synth_features,
-                             n_nonzero=cfg.synth_nonzero, noise_scale=cfg.synth_noise,
-                             seed=cfg.synth_seed)
-        data, _ = generate_synthetic(spec)
-        return Dataset(_with_intercept(data.features), data.labels) if cfg.add_intercept else data
-    if not cfg.data_path:
+        data, _ = generate_synthetic(SyntheticSpec(
+            n_samples=cfg.synth_samples, n_features=cfg.synth_features,
+            n_nonzero=cfg.synth_nonzero, noise_scale=cfg.synth_noise, seed=cfg.synth_seed))
+    elif not cfg.data_path:
         raise CliError("no dataset path given (use --data or [data] path)")
-    if not os.path.exists(cfg.data_path):
+    elif not os.path.exists(cfg.data_path):
         raise CliError(f"dataset file not found: {cfg.data_path}")
-    if cfg.data_format == "csv":
-        return load_csv(cfg.data_path, cfg.label_column, has_header=cfg.has_header,
-                        add_intercept=cfg.add_intercept)
-    return load_libsvm(cfg.data_path, n_features=cfg.n_features_hint,
-                       add_intercept=cfg.add_intercept)
+    elif cfg.data_format == "csv":
+        data = load_csv(cfg.data_path, cfg.label_column, has_header=cfg.has_header)
+    else:
+        data = load_libsvm(cfg.data_path, n_features=cfg.n_features_hint)
+    if cfg.add_intercept:
+        data = Dataset(np.vstack([data.features, np.ones(data.n_samples)]), data.labels)
+    return data
 
 
 def _build_penalty(cfg: RunConfig, lam: float) -> Penalty:
@@ -491,7 +491,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(os.path.join(cfg.out_dir, name), "w", encoding="utf-8") as fh:
                 fh.write(text)
         return code
-    except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError) as exc:
+    except (CliError, DataError, OSError, ValueError, RuntimeError, FloatingPointError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -102,10 +102,6 @@ def _canonical_label(value: float, where: str) -> float:
     raise DataError(f"{where}: label {value!r} not in {{0, 1}} or {{-1, +1}}")
 
 
-def _with_intercept(X: np.ndarray) -> np.ndarray:
-    return np.vstack([X, np.ones((1, X.shape[1]))])
-
-
 # The CSV fallback scanner turns parsed rows into an array every this many
 # rows, so the Python floats of at most one block are alive at a time (about
 # 1 MB at 250 columns) instead of those of the whole file.  The np.loadtxt
@@ -130,14 +126,13 @@ def _loadtxt_table(path, label_column: int, has_header: bool):
     return np.delete(table, label_column, axis=1).T, np.where(y == -1.0, 0.0, y)
 
 
-def load_csv(path, label_column: int, has_header: bool = False,
-             add_intercept: bool = False) -> Dataset:
+def load_csv(path, label_column: int, has_header: bool = False) -> Dataset:
     """Load comma-separated UTF-8 data, one sample per line.
 
     ``label_column`` is the zero-based index of the label column; all other
     columns become features.  Every row must have the same number of cells.
-    With ``add_intercept`` a constant-1 feature is appended; note it is
-    penalized like any other feature.
+    No intercept is added: the CLI's ``--add-intercept`` (``[data]
+    add_intercept``) appends a constant-1 feature, penalized like the rest.
 
     A well-formed file (every cell a number ``np.loadtxt`` reads, no
     whitespace-only line, labels in {0, 1} or {-1, +1}) is parsed in C by one
@@ -151,17 +146,12 @@ def load_csv(path, label_column: int, has_header: bool = False,
     for the whole process, so a warning another thread raises then is an
     error too.
     """
-    parsed = _loadtxt_table(path, label_column, has_header)
-    if parsed is None:
-        return _scan_csv(path, label_column, has_header, add_intercept)
-    X, y = parsed
-    if add_intercept:
-        X = _with_intercept(X)
-    return Dataset(X, y)
+    return Dataset(*(_loadtxt_table(path, label_column, has_header)
+                     or _scan_csv(path, label_column, has_header)))
 
 
-def _scan_csv(path, label_column: int, has_header: bool, add_intercept: bool) -> Dataset:
-    """``load_csv`` one line at a time with ``float()``; raises at the first faulty line."""
+def _scan_csv(path, label_column: int, has_header: bool):
+    """``load_csv``'s ``(X, y)``, one line at a time with ``float()``; raises at a faulty line."""
     blocks: list[np.ndarray] = []
     rows: list[list[float]] = []
     labels: list[float] = []
@@ -203,14 +193,10 @@ def _scan_csv(path, label_column: int, has_header: bool, add_intercept: bool) ->
         raise DataError(f"{path}: no data rows")
     if rows:
         blocks.append(np.array(rows, dtype=np.float64))
-    X = np.concatenate(blocks).T
-    if add_intercept:
-        X = _with_intercept(X)
-    return Dataset(X, np.array(labels))
+    return np.concatenate(blocks).T, np.array(labels)
 
 
-def load_libsvm(path, n_features: int | None = None,
-                add_intercept: bool = False) -> Dataset:
+def load_libsvm(path, n_features: int | None = None) -> Dataset:
     """Load sparse "label idx:val" lines with 1-based, strictly increasing indices.
 
     Missing entries are zero.  The feature count is the largest observed index,
@@ -260,8 +246,6 @@ def load_libsvm(path, n_features: int | None = None,
     for j, pairs in enumerate(samples):
         for idx, val in pairs:
             X[idx - 1, j] = val
-    if add_intercept:
-        X = _with_intercept(X)
     return Dataset(X, np.array(labels))
 
 

@@ -93,6 +93,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 import time
 from typing import NamedTuple
@@ -363,20 +364,34 @@ def _forward_search(trial, L_start, eta, tried: int = 0) -> _SearchOutcome:
         last_L=L / eta)
 
 
+def _ladder(L0, eta):
+    """L0 / eta**i for i < ``_MAX_EXPANSIONS``, up to the last scale that is a positive float."""
+    for i in range(_MAX_EXPANSIONS):
+        try:
+            L = L0 / eta ** i
+        except OverflowError:  # eta**i is past the largest float
+            return
+        if L == 0.0:
+            return
+        yield L
+
+
 def _reverse_search(trial, L0, eta, convex: bool = False) -> _SearchOutcome:
     """Shrink L from ``L0`` by ``eta`` while ``trial`` passes; keep the last passing scale.
 
-    The ladder L0 / eta**i, i < ``_MAX_EXPANSIONS``, is evaluated in blocks
-    of ``_BLOCK`` scales.  The search accepts the scale before the first
-    failing one, as a scan one scale at a time would, or the last scale when
-    none fails; the rows of a block past the first failure are evaluated too.
+    The ladder, ``_ladder(L0, eta)``, is evaluated in blocks of ``_BLOCK``
+    scales.  The search accepts the scale before the first failing one, as
+    a scan one scale at a time would, or the last scale when none fails;
+    the rows of a block past the first failure are evaluated too.
     ``trials`` is the index of the accepted scale.  Under a ``convex``
     penalty an anchor fixed at one scale is fixed at every scale, so a block
     of zero steps ends the ladder at its last row.
     """
-    cap = _MAX_EXPANSIONS
-    for start in range(0, cap, _BLOCK):
-        scales = np.array([L0 / eta ** i for i in range(start, min(start + _BLOCK, cap))])
+    ladder = _ladder(L0, eta)
+    for start in range(0, _MAX_EXPANSIONS, _BLOCK):
+        scales = np.array(list(itertools.islice(ladder, _BLOCK)))
+        if not scales.size:  # the ladder ended with the block before
+            break
         ok, block = trial(scales[:, np.newaxis])
         failed = np.flatnonzero(~ok)
         if start == 0 and failed.size and failed[0] == 0:

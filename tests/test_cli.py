@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from proxlogit import SyntheticSpec, cli, generate_synthetic
+from proxlogit import SyntheticSpec, cli, generate_synthetic, solver
 from proxlogit.cli import EXIT_ERROR, EXIT_MAXITERS, EXIT_OK, TRACE_HEADER, main
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -144,6 +144,25 @@ class TestTrain:
         assert "Traceback" not in err
         assert err.strip() == "error: non-finite objective nan at iteration 3"
 
+    @pytest.mark.parametrize("argv", [["train", "--format", "synthetic"], ["bench"]])
+    def test_memory_error_exits_1_on_one_line(self, argv, tmp_path, capsys, monkeypatch):
+        def unallocatable(spec):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(cli, "generate_synthetic", unallocatable)
+        assert main([*argv, "--out", str(tmp_path / "run")]) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB for an array\n"
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("variant", [v for v, policy in solver._POLICIES.items()
+                                         if policy.first == "reverse"])
+    def test_eta_past_the_reverse_ladders_float_range(self, variant, tmp_path, capsys):
+        # eta**5 is past the largest float: the first search's ladder ends at L0 / eta**4
+        code = main(["train", *SYNTH, "--variant", variant, "--eta", "1e62",
+                     "--out", str(tmp_path / "run")])
+        assert code in (EXIT_OK, EXIT_MAXITERS)
+        assert capsys.readouterr().err == ""
+
     def test_huge_features_exit_1_naming_scale(self, tmp_path, capsys):
         data_file = tmp_path / "huge.csv"
         data_file.write_text(HUGE_CSV)
@@ -241,6 +260,29 @@ class TestTrain:
         payload = read(os.path.join(synth, "coefficients.json"))
         assert json.loads(payload)["d"] == 16
         assert payload == read(os.path.join(loaded, "coefficients.json"))
+
+    def test_add_intercept_appends_ones_to_csv_and_libsvm_data(self, tmp_path):
+        # the loaders only parse; the CLI appends the constant-1 feature for either format
+        data, _ = generate_synthetic(SyntheticSpec(n_samples=80, n_features=15,
+                                                   n_nonzero=3, seed=3))
+        csv_file = write_csv(tmp_path / "a.csv", data)
+        svm_file = tmp_path / "a.svm"
+        svm_file.write_text("".join(
+            f"{y:g} " + " ".join(f"{i + 1}:{v:.17g}" for i, v in enumerate(x)) + "\n"
+            for x, y in zip(data.features.T, data.labels)))
+        runs = {"csv": ["--data", str(csv_file), "--label-column", "15"],
+                "libsvm": ["--data", str(svm_file)]}
+        for fmt, argv in runs.items():
+            loaded = cli._load_dataset(config_from(
+                ["train", "--format", fmt, *argv, "--add-intercept"]))
+            np.testing.assert_array_equal(loaded.features[:-1], data.features)
+            np.testing.assert_array_equal(loaded.features[-1], np.ones(80))
+            np.testing.assert_array_equal(loaded.labels, data.labels)
+            assert main(["train", "--format", fmt, *argv, "--add-intercept",
+                         "--out", str(tmp_path / fmt)]) == EXIT_OK
+        payload = read(tmp_path / "csv" / "coefficients.json")
+        assert json.loads(payload)["d"] == 16
+        assert payload == read(tmp_path / "libsvm" / "coefficients.json")
 
     def test_bad_shape_parameter(self, tmp_path):
         code = main(["train", *SYNTH, "--penalty", "l1", "--theta", "-3",

@@ -100,12 +100,6 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_csv(str(tmp_path / "nope.csv"), label_column=0)
 
-    def test_add_intercept_appends_ones(self, tmp_path):
-        p = write(tmp_path / "a.csv", "1.0,1\n2.0,0\n")
-        ds = load_csv(p, label_column=1, add_intercept=True)
-        assert ds.n_features == 2
-        np.testing.assert_array_equal(ds.features[1], [1.0, 1.0])
-
     @pytest.mark.parametrize("text, label_column, message", [
         # the first bad cell of a line is named, the label column too
         ("1,2,1\n3,x,y\n", 2, "line 2, column 2: non-numeric cell 'x'"),
@@ -154,11 +148,12 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.features, np.delete(table, 1, axis=1).T)
         np.testing.assert_array_equal(ds.labels, table[:, 1])
 
-    @pytest.mark.parametrize("load", [load_csv, data_module._scan_csv])
+    @pytest.mark.parametrize("load", [load_csv,
+                                      lambda *args: Dataset(*data_module._scan_csv(*args))])
     def test_separator_bytes_are_stripped_from_a_cell(self, tmp_path, load):
         # bytes 0x1C-0x1F are whitespace to str.strip(), as to np.loadtxt
         p = write(tmp_path / "a.csv", "1\x1c,0\n")
-        ds = load(p, 1, False, False)
+        ds = load(p, 1, False)
         np.testing.assert_array_equal(ds.features, [[1.0]])
         np.testing.assert_array_equal(ds.labels, [0.0])
 
@@ -168,8 +163,8 @@ class TestLoadCsv:
 
         monkeypatch.setattr(data_module, "_scan_csv", no_scan)
         p = write(tmp_path / "a.csv", "x,y,z\r\n+1,0.5,-2e3\r\n\r\n-1, 1.5 ,3\r\n")
-        ds = load_csv(p, label_column=0, has_header=True, add_intercept=True)
-        np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-2e3, 3.0], [1.0, 1.0]])
+        ds = load_csv(p, label_column=0, has_header=True)
+        np.testing.assert_array_equal(ds.features, [[0.5, 1.5], [-2e3, 3.0]])
         np.testing.assert_array_equal(ds.labels, [1.0, 0.0])
 
     @pytest.mark.parametrize("text, has_header", [
@@ -211,9 +206,7 @@ class TestRowMajorFeatures:
         csv = write(tmp_path / "a.csv", "1.0,2.0,1\n0.5,1.5,0\n2.0,0.0,1\n")
         svm = write(tmp_path / "a.svm", "+1 1:0.5 3:2.0\n0 2:1.0\n")
         spec = SyntheticSpec(n_samples=20, n_features=6, n_nonzero=2, seed=3)
-        for ds in (load_csv(csv, label_column=2),
-                   load_csv(csv, label_column=2, add_intercept=True),
-                   load_libsvm(svm), load_libsvm(svm, add_intercept=True),
+        for ds in (load_csv(csv, label_column=2), load_libsvm(svm),
                    generate_synthetic(spec)[0]):
             assert_row_major_read_only(ds)
 
@@ -274,6 +267,20 @@ class TestLoadLibsvm:
         p = write(tmp_path / "a.svm", "3 1:1.0\n")
         with pytest.raises(DataError, match="label"):
             load_libsvm(p)
+
+    @pytest.mark.parametrize("text, message", [
+        ("1:0.5 2:1\n", "line 1: missing label before '1:0.5'"),
+        ("x 1:0.5\n", "line 1: non-numeric label 'x'"),
+        ("1 1:abc\n", "line 1: malformed pair '1:abc'"),
+        ("1 q:1\n", "line 1: malformed pair 'q:1'"),
+        ("", "{path}: no data rows"),
+        ("1\n0\n", "{path}: no feature indices and no n_features given"),
+    ])
+    def test_fault_message(self, tmp_path, text, message):
+        p = write(tmp_path / "a.svm", text)
+        with pytest.raises(DataError) as info:
+            load_libsvm(p)
+        assert str(info.value) == message.format(path=p)
 
 
 def test_libsvm_round_trip_is_exact(tmp_path):

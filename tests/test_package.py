@@ -5,6 +5,7 @@ import importlib.util
 import inspect
 import json
 import os
+import subprocess
 import sys
 import types
 
@@ -36,6 +37,20 @@ def test_package_names_are_the_module_exports():
     # ``__init__`` republishes each module's ``__all__``, so the names are declared once
     modules = (data, logistic, path, penalties, solver)
     assert set().union(*(module.__all__ for module in modules)) == PUBLIC
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # scipy is a test-only extra, so a package import of it breaks installs;
+    # the benchmark's setup_s times this import
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    added = subprocess.run(
+        [sys.executable, "-c", "import sys, numpy; before = set(sys.modules); "
+         "import proxlogit.cli; print(*sorted(set(sys.modules) - before))"],
+        env=env, capture_output=True, text=True, check=True).stdout.split()
+    allowed = sys.stdlib_module_names | {"numpy", "proxlogit"}
+    assert "proxlogit.cli" in added
+    assert [name for name in added if name.partition(".")[0] not in allowed] == []
 
 
 def test_variants_keep_their_names_and_order():

@@ -384,6 +384,23 @@ class TestReverseSearch:
         assert out.L == L0 / 2.0 ** (cap - 1) and out.step_sq > 0
         assert out.trials == cap - 1 and holder.products == cap
 
+    @pytest.mark.parametrize("L0, eta, n_scales", [
+        (1.0, 1e62, 5),  # eta**5 is past the largest float
+        (1e-300, 1e10, 3),  # L0 / eta**3 rounds to 0
+    ])
+    def test_ladder_ends_at_its_last_positive_float(self, L0, eta, n_scales, monkeypatch):
+        # the flat loss of test_no_scale_past_the_cap: no scale fails, so the
+        # search walks the ladder to its end, each scale at its exact L0 / eta**i
+        data = Dataset(1e-170 * np.random.default_rng(98).standard_normal((8, 20)),
+                       np.arange(20) % 2.0)
+        holder = Products()
+        trial = bound_trial(np.ones(8), data, Penalty.l1(1e-20), False, holder)
+        scales = self._record_prox_scales(monkeypatch)
+        out = solver._reverse_search(trial, L0, eta, convex=True)
+        assert scales == [L0 / eta ** i for i in range(n_scales)]
+        assert out.L == scales[-1] and out.trials == n_scales - 1
+        assert holder.products == n_scales
+
     @pytest.mark.parametrize("convex, products", [(True, 6), (False, 60)])
     def test_a_block_of_zero_steps_ends_a_convex_ladder(self, small_data, convex, products):
         # above lambda_max the zero anchor is the candidate at every scale;
